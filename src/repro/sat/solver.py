@@ -96,9 +96,6 @@ class Budget:
     max_conflicts: Optional[int] = None
     max_learned_lits: Optional[int] = None
 
-    def for_timeout(seconds: float) -> "Budget":  # type: ignore[misc]
-        raise TypeError("use Budget(deadline=time.monotonic() + s)")
-
 
 def _luby(i: int) -> int:
     """Return the i-th element (0-based) of the Luby restart sequence."""
@@ -167,7 +164,12 @@ class SatSolver:
         self._cla_inc = 1.0
         self._cla_decay = 0.999
         self._ok = True
-        self._order_heap: List[int] = []
+        # Lazy max-heap of (-activity, var) entries.  ``_heap_act[v]`` is
+        # the activity of v's one live entry, or None when v has none: an
+        # entry whose activity is no longer v's (a bumped variable) is
+        # stale, and is skipped when it surfaces or dropped by a rebuild.
+        self._order_heap: List[tuple] = []
+        self._heap_act: List[Optional[float]] = [None]
         self._seen: List[int] = [0]
         self.stats = SolverStats()
         self._model: Dict[int, bool] = {}
@@ -190,6 +192,7 @@ class SatSolver:
             self._rng.random() < 0.5 if self._rng is not None else False
         )
         self._seen.append(0)
+        self._heap_act.append(0.0)
         heapq.heappush(self._order_heap, (0.0, v))
         return v
 
@@ -298,13 +301,27 @@ class SatSolver:
         return True
 
     def _propagate(self) -> Optional[_ClauseRef]:
-        while self._qhead < len(self._trail):
-            code = self._trail[self._qhead]
-            self._qhead += 1
-            self.stats.propagations += 1
+        # The hot loop: ``_lit_value`` and ``_enqueue`` are inlined over
+        # hoisted locals.  A coded literal ``c`` is true iff
+        # ``assigns[c >> 1] == (c & 1) ^ 1`` and false iff
+        # ``assigns[c >> 1] == c & 1`` (unassigned, -1, matches neither).
+        trail = self._trail
+        qhead = self._qhead
+        watches = self._watches
+        assigns = self._assigns
+        level = self._level
+        reasons = self._reason
+        polarity = self._polarity
+        cur_level = len(self._trail_lim)
+        start = qhead
+        conflict: Optional[_ClauseRef] = None
+        while qhead < len(trail):
+            code = trail[qhead]
+            qhead += 1
             false_code = code ^ 1
-            watchers = self._watches[code]
-            self._watches[code] = []
+            watchers = watches[code]
+            kept: List[_ClauseRef] = []
+            watches[code] = kept
             i = 0
             n = len(watchers)
             while i < n:
@@ -312,30 +329,41 @@ class SatSolver:
                 i += 1
                 lits = ref.lits
                 # Ensure the false literal is at position 1.
-                if lits[0] == false_code:
-                    lits[0], lits[1] = lits[1], lits[0]
                 first = lits[0]
-                if self._lit_value(first) == _TRUE:
-                    self._watches[code].append(ref)
+                if first == false_code:
+                    first = lits[1]
+                    lits[0] = first
+                    lits[1] = false_code
+                if assigns[first >> 1] == (first & 1) ^ 1:
+                    kept.append(ref)
                     continue
                 # Look for a new watch.
-                found = False
                 for k in range(2, len(lits)):
-                    if self._lit_value(lits[k]) != _FALSE:
-                        lits[1], lits[k] = lits[k], lits[1]
-                        self._watches[lits[1] ^ 1].append(ref)
-                        found = True
+                    cand = lits[k]
+                    if assigns[cand >> 1] != cand & 1:
+                        lits[1] = cand
+                        lits[k] = false_code
+                        watches[cand ^ 1].append(ref)
                         break
-                if found:
-                    continue
-                # Clause is unit or conflicting.
-                self._watches[code].append(ref)
-                if not self._enqueue(first, ref):
-                    # Conflict: restore remaining watchers and report.
-                    self._watches[code].extend(watchers[i:])
-                    self._qhead = len(self._trail)
-                    return ref
-        return None
+                else:
+                    # Clause is unit or conflicting.
+                    kept.append(ref)
+                    v = first >> 1
+                    if assigns[v] != _UNASSIGNED:
+                        # Conflict: restore remaining watchers and report.
+                        kept.extend(watchers[i:])
+                        conflict = ref
+                        break
+                    assigns[v] = (first & 1) ^ 1
+                    level[v] = cur_level
+                    reasons[v] = ref
+                    polarity[v] = (first & 1) == 0
+                    trail.append(first)
+            if conflict is not None:
+                break
+        self.stats.propagations += qhead - start
+        self._qhead = len(trail) if conflict is not None else qhead
+        return conflict
 
     # ------------------------------------------------------------------
     # Conflict analysis
@@ -347,14 +375,28 @@ class SatSolver:
                 self._activity[i] *= 1e-100
             self._var_inc *= 1e-100
             # Rebuild the heap: stored keys are stale after rescaling.
-            self._order_heap = [
-                (-self._activity[i], i)
-                for i in range(1, self._num_vars + 1)
-                if self._assigns[i] == _UNASSIGNED
-            ]
-            heapq.heapify(self._order_heap)
+            self._rebuild_order_heap()
             return
-        heapq.heappush(self._order_heap, (-self._activity[v], v))
+        if self._assigns[v] == _UNASSIGNED:
+            self._heap_act[v] = self._activity[v]
+            heapq.heappush(self._order_heap, (-self._activity[v], v))
+        # An assigned variable (every variable conflict analysis bumps)
+        # gets its entry when ``_backtrack`` unassigns it.
+
+    def _rebuild_order_heap(self) -> None:
+        """One entry per unassigned variable, at its current activity."""
+        activity = self._activity
+        assigns = self._assigns
+        heap_act = self._heap_act
+        heap = []
+        for v in range(1, self._num_vars + 1):
+            if assigns[v] == _UNASSIGNED:
+                heap.append((-activity[v], v))
+                heap_act[v] = activity[v]
+            else:
+                heap_act[v] = None
+        heapq.heapify(heap)
+        self._order_heap = heap
 
     def _bump_clause(self, ref: _ClauseRef) -> None:
         ref.activity += self._cla_inc
@@ -441,11 +483,31 @@ class SatSolver:
         ``_backtrack(0)`` destroys the trail.
         """
         seen = self._seen
-        core: List[int] = []
         for code in conflict.lits:
             v = code >> 1
             if self._level[v] > 0:
                 seen[v] = 1
+        return self._collect_core([])
+
+    def _final_core_from_failed(self, failed_code: int) -> List[int]:
+        """Assumption core when an assumption is already FALSE on the trail:
+        the failed assumption itself plus the assumptions that propagated
+        its negation."""
+        core = [failed_code]
+        v = failed_code >> 1
+        if self._level[v] == 0:
+            return core
+        self._seen[v] = 1
+        return self._collect_core(core)
+
+    def _collect_core(self, core: List[int]) -> List[int]:
+        """Walk the trail top-down, clearing each marked variable and
+        marking its reason's other variables above level 0; appends the
+        marked pseudo-decisions to ``core``.  Every mark is cleared on
+        return (a reason lists its own implied variable, which must not
+        be re-marked: a mark left behind corrupts the next ``_analyze``)."""
+        seen = self._seen
+        level = self._level
         for i in range(len(self._trail) - 1, -1, -1):
             code = self._trail[i]
             v = code >> 1
@@ -458,33 +520,7 @@ class SatSolver:
             else:
                 for other in reason.lits:
                     ov = other >> 1
-                    if self._level[ov] > 0:
-                        seen[ov] = 1
-        return core
-
-    def _final_core_from_failed(self, failed_code: int) -> List[int]:
-        """Assumption core when an assumption is already FALSE on the trail:
-        the failed assumption itself plus the assumptions that propagated
-        its negation."""
-        core = [failed_code]
-        v = failed_code >> 1
-        if self._level[v] == 0:
-            return core
-        seen = self._seen
-        seen[v] = 1
-        for i in range(len(self._trail) - 1, -1, -1):
-            code = self._trail[i]
-            w = code >> 1
-            if not seen[w]:
-                continue
-            seen[w] = 0
-            reason = self._reason[w]
-            if reason is None:
-                core.append(code)
-            else:
-                for other in reason.lits:
-                    ov = other >> 1
-                    if self._level[ov] > 0:
+                    if ov != v and level[ov] > 0:
                         seen[ov] = 1
         return core
 
@@ -503,28 +539,42 @@ class SatSolver:
         if len(self._trail_lim) <= level:
             return
         bound = self._trail_lim[level]
+        assigns = self._assigns
+        reasons = self._reason
+        activity = self._activity
+        heap_act = self._heap_act
+        heap = self._order_heap
         for code in reversed(self._trail[bound:]):
             v = code >> 1
-            self._assigns[v] = _UNASSIGNED
-            self._reason[v] = None
-            heapq.heappush(self._order_heap, (-self._activity[v], v))
+            assigns[v] = _UNASSIGNED
+            reasons[v] = None
+            if heap_act[v] != activity[v]:
+                heap_act[v] = activity[v]
+                heapq.heappush(heap, (-activity[v], v))
         del self._trail[bound:]
         del self._trail_lim[level:]
         self._qhead = len(self._trail)
+        if len(heap) > 2 * self._num_vars:
+            # Drop the stale entries bumps left behind.
+            self._rebuild_order_heap()
 
     # ------------------------------------------------------------------
     # Decisions
     # ------------------------------------------------------------------
     def _pick_branch_var(self) -> int:
-        # Lazy max-heap over VSIDS activities: entries may be stale
-        # (assigned variable, outdated activity); skip those.
+        # Every unassigned variable has a live entry, so the top entry that
+        # is neither assigned nor stale is the most active unassigned
+        # variable (ties to the lowest index).
         heap = self._order_heap
         assigns = self._assigns
         activity = self._activity
+        heap_act = self._heap_act
         while heap:
             neg_act, v = heap[0]
             if assigns[v] != _UNASSIGNED or -neg_act != activity[v]:
                 heapq.heappop(heap)
+                if heap_act[v] == -neg_act:
+                    heap_act[v] = None  # that was v's live entry
                 continue
             return v
         # Heap exhausted: fall back to a scan (re-seeds missing entries).
@@ -532,6 +582,7 @@ class SatSolver:
         best_act = -1.0
         for v in range(1, self._num_vars + 1):
             if assigns[v] == _UNASSIGNED:
+                heap_act[v] = activity[v]
                 heapq.heappush(heap, (-activity[v], v))
                 if activity[v] > best_act:
                     best_act = activity[v]
@@ -615,8 +666,7 @@ class SatSolver:
                     self._ok = False
                     self._backtrack(0)
                     return SatResult.UNSAT
-                back_level = max(back_level, 0)
-                self._backtrack(max(back_level, 0))
+                self._backtrack(back_level)
                 if len(learnt) == 1:
                     self._backtrack(0)
                     if not self._enqueue(learnt[0], None):

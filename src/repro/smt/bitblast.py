@@ -80,9 +80,14 @@ class BitBlaster:
         if proof is not None:
             from repro.sat.proof import INPUT
 
-            for tag, lits in proof.events:
-                if tag == INPUT:
-                    h.update(json.dumps(list(lits)).encode("utf-8"))
+            # The bytes json.dumps gives a list of ints, built directly.
+            h.update(
+                "".join(
+                    "[" + ", ".join(map(str, lits)) + "]"
+                    for tag, lits in proof.events
+                    if tag == INPUT
+                ).encode("utf-8")
+            )
         return h.hexdigest()
 
     # -- primitive literals -------------------------------------------------

@@ -210,8 +210,10 @@ def solve_exists_forall(
         if inner is None:
             inner = SmtSolver(certify=certify)
             inner.assert_term(psi)
+        # Sorted: a frozenset's order follows PYTHONHASHSEED, and the
+        # assumption order steers the search.
         assumptions: List[Term] = []
-        for name in psi_vars:
+        for name in sorted(psi_vars):
             if name in forall_names:
                 continue
             width = _var_width(psi, name)

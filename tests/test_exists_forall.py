@@ -133,3 +133,50 @@ def test_nondeterminism_cannot_be_added():
     res = solve_exists_forall(phi, psi, [])
     assert res.result is EFResult.SAT
     assert res.model["out"] != 7
+
+
+_HASH_SEED_PROBE = """
+from repro.refinement.check import VerifyOptions
+from repro.sat.solver import SatSolver
+from repro.suite.runner import _run_one_test
+from repro.suite.unittests import build_corpus
+
+solvers = []
+init = SatSolver.__init__
+
+def recording_init(self, *args, **kwargs):
+    init(self, *args, **kwargs)
+    solvers.append(self)
+
+SatSolver.__init__ = recording_init
+corpus = {t.name: t for t in build_corpus()}
+for name in ("bug-licm-div", "bug-load-forward-across-clobber"):
+    solvers.clear()
+    record = _run_one_test(corpus[name], VerifyOptions(), True, 1, None)
+    print(name, sorted(record.verdicts.items()),
+          sum(s.stats.conflicts for s in solvers),
+          sum(s.stats.propagations for s in solvers))
+"""
+
+
+def test_search_does_not_depend_on_hash_seed():
+    # The CEGAR loop pins the candidate's existentials with assumptions;
+    # taken in a frozenset's order, they (and the search) moved with
+    # PYTHONHASHSEED.
+    import os
+    import subprocess
+    import sys
+
+    import repro
+
+    src = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
+    outputs = []
+    for seed in ("1", "2"):
+        env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=src)
+        run = subprocess.run(
+            [sys.executable, "-c", _HASH_SEED_PROBE],
+            env=env, capture_output=True, text=True, timeout=300, check=True,
+        )
+        outputs.append(run.stdout)
+    assert "incorrect" in outputs[0]
+    assert outputs[0] == outputs[1]

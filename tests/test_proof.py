@@ -24,10 +24,10 @@ from repro.sat.solver import arm_unsound, reset_unsound
 # -- helpers -----------------------------------------------------------------
 
 
-def random_cnf(rng, num_vars, num_clauses, max_width=3):
+def random_cnf(rng, num_vars, num_clauses, max_width=3, min_width=1):
     clauses = []
     for _ in range(num_clauses):
-        width = rng.randint(1, max_width)
+        width = rng.randint(min_width, max_width)
         vs = rng.sample(range(1, num_vars + 1), min(width, num_vars))
         clauses.append([v if rng.random() < 0.5 else -v for v in vs])
     return clauses
@@ -257,6 +257,193 @@ def test_checker_handles_deletions():
     assert outcome.valid, outcome.reason
 
 
+# -- the root closure: invalidation paths -------------------------------------
+
+
+def test_detached_root_reason_is_not_trusted():
+    # The bogus unit (x1) is the root reason of x1 when the terminal is
+    # checked; once the walk detaches it, x1 must not stay true at the
+    # root, or (x1) would pass as trivially entailed.
+    events = [
+        ("i", (-1, 3)),
+        ("i", (-1, -3)),
+        ("a", (1,)),  # not RUP: ¬x1 satisfies both inputs
+        ("a", ()),
+    ]
+    outcome = check_events(events)
+    assert not outcome.valid
+    assert "lemma [1] is not RUP" in outcome.reason
+
+
+def test_reattached_unit_clause_extends_root():
+    # Walking back over the deletion re-attaches C = (¬x1 ∨ x2 ∨ x3),
+    # which is unit on x3 under the root {x1, ¬x2}.  The lemma (x4 ∨ x9)
+    # is RUP only through x3 making (¬x3 ∨ x4 ∨ x7) imply x7, and it is
+    # checked while the root stays valid, so the root must grow by x3.
+    c = (-1, 2, 3)
+    base = [
+        ("i", (1,)),
+        ("i", (-2,)),
+        ("i", c),
+        ("i", (-3, 4, 7)),
+        ("i", (-7, 8)),
+        ("i", (-7, -8)),
+        ("a", (4, 9)),
+        ("i", (-4, 5)),
+        ("i", (-9, 5)),
+        ("d", c),
+        ("a", (5,)),
+    ]
+    outcome = check_events(base, assumptions=[-5])
+    assert outcome.valid, outcome.reason
+    assert outcome.checked_lemmas == 2
+    # Without C the lemma (x4 ∨ x9) is not RUP.
+    broken = [e for e in base if e[1] != c]
+    outcome = check_events(broken, assumptions=[-5])
+    assert not outcome.valid
+    assert "lemma [4, 9] is not RUP" in outcome.reason
+
+
+# -- differential: the checker against a naive reference ----------------------
+
+
+def naive_rup(clauses, lemma):
+    """RUP by full clause scans to a fixpoint: no watches, no state."""
+    true = {-lit for lit in lemma}
+    if any(-lit in true for lit in true):
+        return True  # tautological lemma
+    changed = True
+    while changed:
+        changed = False
+        for clause in clauses:
+            if any(lit in true for lit in clause):
+                continue
+            free = [lit for lit in clause if -lit not in true]
+            if not free:
+                return True
+            if len(free) == 1:
+                true.add(free[0])
+                changed = True
+    return False
+
+
+def naive_lemma_verdicts(events):
+    """Forward replay: is each lemma RUP over the clauses alive before it?"""
+    live = []
+    verdicts = []
+    for tag, lits in events:
+        if tag == "d":
+            for k in range(len(live) - 1, -1, -1):
+                if set(live[k]) == set(lits):
+                    del live[k]
+                    break
+            continue
+        if tag == "a":
+            verdicts.append(naive_rup(live, lits))
+        live.append(tuple(lits))
+    return verdicts
+
+
+def expect_like_reference(events, assumptions):
+    """``trim=False`` checks every lemma from the last one back, so it
+    must stop at the last lemma the reference rejects, and accept the
+    log exactly when the reference accepts every lemma."""
+    verdicts = naive_lemma_verdicts(events)
+    outcome = check_events(events, assumptions=assumptions, trim=False)
+    if all(verdicts):
+        assert outcome.valid, outcome.reason
+        assert outcome.checked_lemmas == len(verdicts)
+        return True
+    last_bad = max(i for i, ok in enumerate(verdicts) if ok is False)
+    assert not outcome.valid
+    assert "not RUP" in outcome.reason
+    assert outcome.checked_lemmas == len(verdicts) - last_bad
+    return False
+
+
+def incremental_proofs(rng, rounds):
+    """Solver proofs with deletions and assumptions: one solver answers
+    several queries under assumptions, with a learned-clause reduction
+    after each, so later lemmas are checked against a database with
+    deletions in it."""
+    for trial in range(rounds):
+        num_vars = rng.randint(20, 26)
+        proof = ProofLog()
+        solver = SatSolver(polarity_seed=trial, proof=proof)
+        solver.ensure_vars(num_vars)
+        for clause in random_cnf(rng, num_vars, 3 * num_vars, min_width=3):
+            solver.add_clause(clause)
+        for _ in range(8):
+            assumptions = [
+                v if rng.random() < 0.5 else -v
+                for v in rng.sample(range(1, num_vars + 1), 3)
+            ]
+            if solver.solve(assumptions=assumptions) is SatResult.UNSAT:
+                yield list(proof.events), assumptions
+            if not solver._ok:
+                break
+            solver._reduce_db()
+            for clause in random_cnf(rng, num_vars, 8, min_width=3):
+                solver.add_clause(clause)
+
+
+def test_checker_matches_naive_reference_lemma_by_lemma(monkeypatch):
+    from repro.sat import checker
+
+    paths = {"reason-detach": 0, "unit-reattach": 0}
+    detach, attach = checker._ClauseDb.detach, checker._ClauseDb.attach
+
+    def counting_detach(db, cid):
+        fresh = not db._root_stale
+        detach(db, cid)
+        paths["reason-detach"] += fresh and db._root_stale
+
+    def counting_attach(db, cid):
+        before = (len(db._root_true), db._root_conflict)
+        attach(db, cid)
+        paths["unit-reattach"] += (len(db._root_true), db._root_conflict) != before
+
+    monkeypatch.setattr(checker._ClauseDb, "detach", counting_detach)
+    monkeypatch.setattr(checker._ClauseDb, "attach", counting_attach)
+
+    rng = random.Random(2014)
+    proofs = deleting = mutated = rejected = 0
+    for events, assumptions in incremental_proofs(rng, 25):
+        proofs += 1
+        deleting += any(tag == "d" for tag, _ in events)
+        assert expect_like_reference(events, assumptions)
+        assert check_events(events, assumptions=assumptions).valid
+        # A temporary input copy of a unit the solver learns later,
+        # deleted again just before an earlier lemma: walking back over
+        # the deletion re-attaches a unit the root does not have yet.
+        # Extra clauses only help, so every lemma stays RUP.
+        adds = [i for i, (tag, _) in enumerate(events) if tag == "a"]
+        units = [i for i in adds if len(events[i][1]) == 1]
+        if units and units[-1] > adds[0]:
+            unit = events[units[-1]][1]
+            at = rng.choice([i for i in adds if i < units[-1]])
+            copied = (
+                events[:1] + [("i", unit)] + events[1:at]
+                + [("d", unit)] + events[at:]
+            )
+            assert expect_like_reference(copied, assumptions)
+        # Mutate one lemma before the terminal: drop a literal (a
+        # stronger claim) or swap in a random clause.
+        adds = [i for i, (tag, _) in enumerate(events) if tag == "a"][:-1]
+        for i in rng.sample(adds, min(3, len(adds))):
+            lits = list(events[i][1])
+            if lits and rng.random() < 0.5:
+                lits.pop(rng.randrange(len(lits)))
+            else:
+                lits = random_cnf(rng, 12, 1, max_width=2)[0]
+            bad = events[:i] + [("a", tuple(lits))] + events[i + 1:]
+            mutated += 1
+            rejected += not expect_like_reference(bad, assumptions)
+    assert proofs >= 100 and deleting >= 80
+    assert mutated >= 300 and rejected >= 200
+    assert paths["reason-detach"] > 0 and paths["unit-reattach"] > 0
+
+
 def test_unsound_injection_is_rejected_by_checker():
     # Arm the corruption: the next learned clause degenerates to [],
     # making the solver claim UNSAT on a satisfiable formula.  The
@@ -300,6 +487,30 @@ def test_smt_solver_certifies_unsat():
     assert cert.valid
     assert cert.digest  # CNF/var-map digest is bound into the certificate
     assert "certified" in cert.summary()
+
+
+def test_certificate_digest_is_pinned():
+    # The digest ties a certificate to its CNF; these values were computed
+    # by the json.dumps encoding it replaced, so the bytes hashed are
+    # unchanged and digests stay comparable across versions.
+    from repro.smt.solver import CheckResult, SmtSolver
+    from repro.smt.terms import (
+        bool_and, bool_not, bool_var, bv_add, bv_const, bv_eq, bv_ult, bv_var,
+    )
+
+    x, y = bv_var("x", 4), bv_var("y", 4)
+    unsat = SmtSolver(certify=True)
+    unsat.assert_term(bool_not(bv_eq(bv_add(x, y), bv_add(y, x))))
+    assert unsat.check() is CheckResult.UNSAT
+    assert unsat.certificates[0].digest == (
+        "771af9b61f68f90003f9a410dabb4dd9965e0f7900920545ad555a5e8b76752e"
+    )
+    sat = SmtSolver(certify=True)
+    sat.assert_term(bool_and(bool_var("p"), bv_ult(x, bv_const(3, 4))))
+    assert sat.check() is CheckResult.SAT
+    assert sat.blaster.certificate_digest() == (
+        "b535fd3002c10f68364e51da3f87a4d85fac97e30d6568e31bc676567a2da7a0"
+    )
 
 
 def test_smt_solver_without_certify_counts_unchecked():
