@@ -18,13 +18,17 @@ from pathlib import Path
 
 from conftest import print_table
 
-from repro.analysis import memdf, prescreen
+from repro.analysis import prescreen
 from repro.refinement.check import VerifyOptions
 from repro.suite.runner import run_suite
 from repro.suite.unittests import build_corpus
 
 OUT_PATH = Path(__file__).resolve().parent.parent / "BENCH_memdf.json"
 BASELINE_PATH = Path(__file__).resolve().parent.parent / "BENCH_engine.json"
+
+
+def _rule_hits(counters):
+    return sum(counters.get(f"prescreen.{r}", 0) for r in prescreen.MEMDF_RULES)
 
 
 def _tally_key(outcome):
@@ -39,52 +43,46 @@ def test_bench_memdf(benchmark):
     def run():
         results = {}
         for label, enabled in [("memdf=on", True), ("memdf=off", False)]:
-            prescreen.STATS.reset()
-            memdf.STATS.reset()
             opts = VerifyOptions(timeout_s=10.0, memdf=enabled)
             start = time.monotonic()
             outcome = run_suite(corpus, opts, inject_bugs=False)
-            results[label] = (
-                time.monotonic() - start,
-                outcome,
-                dict(prescreen.STATS.by_rule),
-            )
+            results[label] = (time.monotonic() - start, outcome)
         return results
 
     results = benchmark.pedantic(run, rounds=1, iterations=1)
 
     rows = []
-    for label, (wall_s, outcome, by_rule) in results.items():
-        t = outcome.tally
+    for label, (wall_s, outcome) in results.items():
+        c = outcome.tally.counters
         rows.append(
             {
                 "config": label,
                 "wall_s": round(wall_s, 3),
-                "correct": t.correct,
-                "rule_hits": t.memdf_rule_hits,
-                "narrowed": t.memdf_narrowed,
-                "block_skips": t.memdf_block_skips,
-                "load_fwd": by_rule.get("load-forward", 0),
-                "alias_disj": by_rule.get("alias-disjoint", 0),
-                "oob_ub": by_rule.get("oob-ub", 0),
+                "correct": outcome.tally.correct,
+                "rule_hits": _rule_hits(c),
+                "narrowed": c.get("memdf.narrowed", 0),
+                "block_skips": c.get("memdf.block_skips", 0),
+                "load_fwd": c.get("prescreen.load-forward", 0),
+                "alias_disj": c.get("prescreen.alias-disjoint", 0),
+                "oob_ub": c.get("prescreen.oob-ub", 0),
             }
         )
     print_table("E15: memdf ablation", rows)
 
-    on_wall, on, on_rules = results["memdf=on"]
-    off_wall, off, off_rules = results["memdf=off"]
+    on_wall, on = results["memdf=on"]
+    off_wall, off = results["memdf=off"]
+    on_c, off_c = on.tally.counters, off.tally.counters
     # Soundness: identical verdicts with and without the memdf layer.
     assert _tally_key(on) == _tally_key(off)
     for a, b in zip(on.records, off.records):
         assert a.test == b.test and a.verdicts == b.verdicts, a.test
     # Acceptance bar: the memory rules discharge real corpus queries and
     # the encoder drops real aliasing case-splits; off runs stay silent.
-    assert on.tally.memdf_rule_hits >= 1
-    assert on.tally.memdf_narrowed >= 1
-    assert on.tally.memdf_block_skips >= 1
-    assert sum(off_rules.get(r, 0) for r in prescreen.MEMDF_RULES) == 0
-    assert off.tally.memdf_rule_hits == 0
-    assert off.tally.memdf_narrowed == 0
+    assert _rule_hits(on_c) >= 1
+    assert on_c.get("memdf.narrowed", 0) >= 1
+    assert on_c.get("memdf.block_skips", 0) >= 1
+    assert _rule_hits(off_c) == 0
+    assert off_c.get("memdf.narrowed", 0) == 0
 
     baseline_wall = None
     if BASELINE_PATH.exists():
@@ -103,17 +101,22 @@ def test_bench_memdf(benchmark):
                 "configs": {
                     label: {
                         "wall_s": round(wall_s, 3),
-                        "memdf_rule_hits": outcome.tally.memdf_rule_hits,
-                        "memdf_narrowed": outcome.tally.memdf_narrowed,
-                        "memdf_block_skips": outcome.tally.memdf_block_skips,
+                        "memdf_rule_hits": _rule_hits(outcome.tally.counters),
+                        "memdf_narrowed": outcome.tally.counters.get(
+                            "memdf.narrowed", 0
+                        ),
+                        "memdf_block_skips": outcome.tally.counters.get(
+                            "memdf.block_skips", 0
+                        ),
                         "by_rule": {
-                            r: by_rule.get(r, 0) for r in prescreen.MEMDF_RULES
+                            r: outcome.tally.counters.get(f"prescreen.{r}", 0)
+                            for r in prescreen.MEMDF_RULES
                         },
-                        "solver_checks": sum(
-                            r.solver_checks for r in outcome.records
+                        "solver_checks": outcome.tally.counters.get(
+                            "smt.checks", 0
                         ),
                     }
-                    for label, (wall_s, outcome, by_rule) in results.items()
+                    for label, (wall_s, outcome) in results.items()
                 },
                 "speedup_on_vs_off": round(off_wall / on_wall, 2)
                 if on_wall

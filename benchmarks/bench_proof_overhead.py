@@ -39,10 +39,6 @@ def _tally_key(outcome):
 def test_bench_proof_overhead(benchmark):
     corpus = build_corpus(generated=12)
 
-    from repro.smt.solver import TELEMETRY
-
-    lemmas0, checked0 = TELEMETRY.proof_lemmas, TELEMETRY.proof_checked
-
     def run():
         results = {}
         for label, certify in [("certify=off", False), ("certify=on", True)]:
@@ -63,9 +59,9 @@ def test_bench_proof_overhead(benchmark):
                 "wall_s": round(wall_s, 3),
                 "correct": t.correct,
                 "incorrect": t.incorrect,
-                "certified": t.certified_unsat,
-                "rejected": t.cert_failures,
-                "core_lits": t.core_lits,
+                "certified": t.counters.get("smt.certified", 0),
+                "rejected": t.counters.get("smt.cert_failed", 0),
+                "core_lits": t.counters.get("smt.core_lits", 0),
             }
         )
     print_table("E11: proof logging/checking overhead", rows)
@@ -79,15 +75,15 @@ def test_bench_proof_overhead(benchmark):
         assert a.test == b.test and a.verdicts == b.verdicts, a.test
 
     # Every UNSAT answer in certify mode carried an accepted certificate.
-    t = on.tally
-    assert t.certified_unsat > 0
-    assert t.cert_failures == 0
-    assert off.tally.certified_unsat == 0
+    c = on.tally.counters
+    assert c.get("smt.certified", 0) > 0
+    assert c.get("smt.cert_failed", 0) == 0
+    assert off.tally.counters.get("smt.certified", 0) == 0
 
     # Trimming: the checker re-verifies at most as many lemmas as the
-    # solver logged, and the cumulative telemetry shows the reduction.
-    lemmas_logged = TELEMETRY.proof_lemmas - lemmas0
-    lemmas_checked = TELEMETRY.proof_checked - checked0
+    # solver logged, and the counters show the reduction.
+    lemmas_logged = c.get("smt.proof_lemmas", 0)
+    lemmas_checked = c.get("smt.proof_checked", 0)
     assert lemmas_checked <= lemmas_logged
     trim_ratio = (
         lemmas_checked / lemmas_logged if lemmas_logged else None
@@ -108,9 +104,15 @@ def test_bench_proof_overhead(benchmark):
                 "configs": {
                     label: {
                         "wall_s": round(wall_s, 3),
-                        "certified_unsat": outcome.tally.certified_unsat,
-                        "cert_failures": outcome.tally.cert_failures,
-                        "core_lits": outcome.tally.core_lits,
+                        "certified_unsat": outcome.tally.counters.get(
+                            "smt.certified", 0
+                        ),
+                        "cert_failures": outcome.tally.counters.get(
+                            "smt.cert_failed", 0
+                        ),
+                        "core_lits": outcome.tally.counters.get(
+                            "smt.core_lits", 0
+                        ),
                     }
                     for label, (wall_s, outcome) in results.items()
                 },

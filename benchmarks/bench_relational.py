@@ -21,13 +21,17 @@ from pathlib import Path
 
 from conftest import print_table
 
-from repro.analysis import prescreen, relational
+from repro.analysis import prescreen
 from repro.refinement.check import VerifyOptions
 from repro.suite.runner import run_suite
 from repro.suite.unittests import build_corpus
 
 OUT_PATH = Path(__file__).resolve().parent.parent / "BENCH_relational.json"
 BASELINE_PATH = Path(__file__).resolve().parent.parent / "BENCH_memdf.json"
+
+
+def _rule_hits(counters, rules):
+    return sum(counters.get(f"prescreen.{r}", 0) for r in rules)
 
 
 def _tally_key(outcome):
@@ -45,59 +49,52 @@ def test_bench_relational(benchmark):
             ("relational=on", True),
             ("relational=off", False),
         ]:
-            prescreen.STATS.reset()
-            relational.STATS.reset()
             opts = VerifyOptions(
                 timeout_s=10.0, relational=enabled, max_ef_iterations=256
             )
             start = time.monotonic()
             outcome = run_suite(corpus, opts, inject_bugs=False)
-            results[label] = (
-                time.monotonic() - start,
-                outcome,
-                dict(prescreen.STATS.by_rule),
-                relational.STATS.seeded_queries,
-            )
+            results[label] = (time.monotonic() - start, outcome)
         return results
 
     results = benchmark.pedantic(run, rounds=1, iterations=1)
 
     rows = []
-    for label, (wall_s, outcome, by_rule, seeded) in results.items():
-        t = outcome.tally
+    for label, (wall_s, outcome) in results.items():
+        c = outcome.tally.counters
         rows.append(
             {
                 "config": label,
                 "wall_s": round(wall_s, 3),
-                "correct": t.correct,
-                "rule_hits": t.relational_rule_hits,
-                "seeded_queries": seeded,
-                "seed_pairs": t.relational_seed_pairs,
-                "aligned": t.relational_aligned_blocks,
-                "solver_checks": sum(r.solver_checks for r in outcome.records),
+                "correct": outcome.tally.correct,
+                "rule_hits": _rule_hits(c, prescreen.RELATIONAL_RULES),
+                "seeded_queries": c.get("relational.seeded_queries", 0),
+                "seed_pairs": c.get("relational.seed_pairs", 0),
+                "aligned": c.get("relational.aligned_blocks", 0),
+                "solver_checks": c.get("smt.checks", 0),
             }
         )
     print_table("E16: relational ablation", rows)
 
-    on_wall, on, on_rules, on_seeded = results["relational=on"]
-    off_wall, off, off_rules, off_seeded = results["relational=off"]
+    on_wall, on = results["relational=on"]
+    off_wall, off = results["relational=off"]
+    on_c, off_c = on.tally.counters, off.tally.counters
     # Soundness: byte-identical verdicts with and without the layer.
     assert _tally_key(on) == _tally_key(off)
     for a, b in zip(on.records, off.records):
         assert a.test == b.test and a.verdicts == b.verdicts, a.test
     # The off configuration must not touch any relational machinery.
-    assert sum(off_rules.get(r, 0) for r in prescreen.RELATIONAL_RULES) == 0
-    assert off.tally.relational_rule_hits == 0
-    assert off.tally.relational_aligned_blocks == 0
-    assert off_seeded == 0
+    assert _rule_hits(off_c, prescreen.RELATIONAL_RULES) == 0
+    assert off_c.get("relational.aligned_blocks", 0) == 0
+    assert off_c.get("relational.seeded_queries", 0) == 0
 
     # Acceptance bar: discharged-or-seeded >= 15% of the baseline's
     # remaining solver checks.  "Discharged" are queries the prescreen
     # rules answered outright; "seeded" are solver checks that carried a
     # relational witness seed into the e-graph/CEGAR rungs.
-    baseline_checks = sum(r.solver_checks for r in off.records)
-    discharged = on.tally.relational_rule_hits
-    touched = discharged + on_seeded
+    baseline_checks = off_c.get("smt.checks", 0)
+    discharged = _rule_hits(on_c, prescreen.RELATIONAL_RULES)
+    touched = discharged + on_c.get("relational.seeded_queries", 0)
     assert baseline_checks > 0
     assert touched >= 0.15 * baseline_checks, (
         touched,
@@ -125,30 +122,27 @@ def test_bench_relational(benchmark):
                 "configs": {
                     label: {
                         "wall_s": round(wall_s, 3),
-                        "relational_rule_hits": (
-                            outcome.tally.relational_rule_hits
+                        "relational_rule_hits": _rule_hits(
+                            outcome.tally.counters, prescreen.RELATIONAL_RULES
                         ),
-                        "relational_seed_pairs": (
-                            outcome.tally.relational_seed_pairs
+                        "relational_seed_pairs": outcome.tally.counters.get(
+                            "relational.seed_pairs", 0
                         ),
-                        "relational_aligned_blocks": (
-                            outcome.tally.relational_aligned_blocks
+                        "relational_aligned_blocks": outcome.tally.counters.get(
+                            "relational.aligned_blocks", 0
                         ),
-                        "seeded_queries": seeded,
+                        "seeded_queries": outcome.tally.counters.get(
+                            "relational.seeded_queries", 0
+                        ),
                         "by_rule": {
-                            r: by_rule.get(r, 0)
+                            r: outcome.tally.counters.get(f"prescreen.{r}", 0)
                             for r in prescreen.RELATIONAL_RULES
                         },
-                        "solver_checks": sum(
-                            r.solver_checks for r in outcome.records
+                        "solver_checks": outcome.tally.counters.get(
+                            "smt.checks", 0
                         ),
                     }
-                    for label, (
-                        wall_s,
-                        outcome,
-                        by_rule,
-                        seeded,
-                    ) in results.items()
+                    for label, (wall_s, outcome) in results.items()
                 },
                 "discharged_or_seeded": touched,
                 "baseline_solver_checks": baseline_checks,

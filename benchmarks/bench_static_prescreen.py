@@ -19,13 +19,19 @@ from pathlib import Path
 
 from conftest import print_table
 
-from repro.analysis import prescreen
 from repro.refinement.check import VerifyOptions
 from repro.suite.runner import run_suite
 from repro.suite.unittests import build_corpus
 
 OUT_PATH = Path(__file__).resolve().parent.parent / "BENCH_analysis.json"
 BASELINE_PATH = Path(__file__).resolve().parent.parent / "BENCH_engine.json"
+
+
+def _prescreen(outcome):
+    """(discharged, passed to the solver, hit rate) of one run."""
+    c = outcome.tally.counters
+    hits, misses = c.get("prescreen.discharged", 0), c.get("prescreen.passed", 0)
+    return hits, misses, hits / (hits + misses) if hits + misses else 0.0
 
 
 def _tally_key(outcome):
@@ -40,7 +46,6 @@ def test_bench_static_prescreen(benchmark):
     def run():
         results = {}
         for label, enabled in [("prescreen=on", True), ("prescreen=off", False)]:
-            prescreen.STATS.reset()
             opts = VerifyOptions(timeout_s=10.0, prescreen=enabled)
             start = time.monotonic()
             outcome = run_suite(corpus, opts, inject_bugs=False)
@@ -52,15 +57,16 @@ def test_bench_static_prescreen(benchmark):
     rows = []
     for label, (wall_s, outcome) in results.items():
         t = outcome.tally
+        hits, misses, rate = _prescreen(outcome)
         rows.append(
             {
                 "config": label,
                 "wall_s": round(wall_s, 3),
                 "correct": t.correct,
                 "incorrect": t.incorrect,
-                "ps_hits": t.prescreen_hits,
-                "ps_misses": t.prescreen_misses,
-                "hit_rate": f"{t.prescreen_hit_rate:.0%}",
+                "ps_hits": hits,
+                "ps_misses": misses,
+                "hit_rate": f"{rate:.0%}",
             }
         )
     print_table("E10: static prescreen ablation", rows)
@@ -72,10 +78,10 @@ def test_bench_static_prescreen(benchmark):
     for a, b in zip(on.records, off.records):
         assert a.test == b.test and a.verdicts == b.verdicts, a.test
     # Acceptance bar: >= 10% of queries discharged without the solver.
-    t = on.tally
-    assert t.prescreen_hits + t.prescreen_misses > 0
-    assert t.prescreen_hit_rate >= 0.10, (t.prescreen_hits, t.prescreen_misses)
-    assert off.tally.prescreen_hits == 0
+    hits, misses, rate = _prescreen(on)
+    assert hits + misses > 0
+    assert rate >= 0.10, (hits, misses)
+    assert _prescreen(off)[0] == 0
 
     baseline_wall = None
     if BASELINE_PATH.exists():
@@ -94,11 +100,11 @@ def test_bench_static_prescreen(benchmark):
                 "configs": {
                     label: {
                         "wall_s": round(wall_s, 3),
-                        "prescreen_hits": outcome.tally.prescreen_hits,
-                        "prescreen_misses": outcome.tally.prescreen_misses,
-                        "hit_rate": round(outcome.tally.prescreen_hit_rate, 3),
-                        "solver_checks": sum(
-                            r.solver_checks for r in outcome.records
+                        "prescreen_hits": _prescreen(outcome)[0],
+                        "prescreen_misses": _prescreen(outcome)[1],
+                        "hit_rate": round(_prescreen(outcome)[2], 3),
+                        "solver_checks": outcome.tally.counters.get(
+                            "smt.checks", 0
                         ),
                     }
                     for label, (wall_s, outcome) in results.items()

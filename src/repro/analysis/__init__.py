@@ -25,7 +25,6 @@ from repro.analysis.framework import (
     solve,
 )
 from repro.analysis.knownbits import KnownBits, analyze_known_bits
-from repro.analysis.memdf import STATS as MEMDF_STATS
 from repro.analysis.memdf import MemDF, analyze_memdf
 from repro.analysis.pointsto import (
     PointsToFact,
@@ -33,11 +32,9 @@ from repro.analysis.pointsto import (
     assign_alloca_bids,
 )
 from repro.analysis.poison import analyze_poison, returns_poison_free
-from repro.analysis.prescreen import STATS as PRESCREEN_STATS
-from repro.analysis.prescreen import Prescreener, memdf_rule_hits
+from repro.analysis.prescreen import Prescreener
 from repro.analysis.range import IntRange, analyze_ranges
 from repro.analysis.verify import (
-    LINT_STATS,
     LintDiagnostic,
     lint_function,
     lint_module,
@@ -60,11 +57,7 @@ __all__ = [
     "assign_alloca_bids",
     "MemDF",
     "analyze_memdf",
-    "MEMDF_STATS",
     "Prescreener",
-    "PRESCREEN_STATS",
-    "memdf_rule_hits",
-    "LINT_STATS",
     "LintDiagnostic",
     "lint_function",
     "lint_module",

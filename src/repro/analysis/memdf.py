@@ -46,31 +46,6 @@ from repro.semantics.memory import MemoryLayout
 from repro.smt import terms
 
 
-@dataclass
-class MemdfStats:
-    """Module-level counters; the suite snapshots deltas per test."""
-
-    analyses: int = 0
-    forwards: int = 0
-    dead_stores: int = 0
-    oob_accesses: int = 0
-    narrowed_accesses: int = 0  # encoder accesses with a pruned case-split
-    block_skips: int = 0  # (access × block) pairs dropped from encodings
-    refine_skips: int = 0  # memory-refinement blocks skipped via clobber facts
-
-    def reset(self) -> None:
-        self.analyses = 0
-        self.forwards = 0
-        self.dead_stores = 0
-        self.oob_accesses = 0
-        self.narrowed_accesses = 0
-        self.block_skips = 0
-        self.refine_skips = 0
-
-
-STATS = MemdfStats()
-
-
 @dataclass(frozen=True)
 class AccessFact:
     """Classification of one load/store against its candidate blocks."""
@@ -268,7 +243,6 @@ def analyze_memdf(fn: Function, layout: MemoryLayout) -> MemDF:
 
 
 def _analyze(fn: Function, layout: MemoryLayout) -> MemDF:
-    STATS.analyses += 1
     pointsto = analyze_pointsto(fn, layout)
     mdf = MemDF(fn=fn, layout=layout, pointsto=pointsto)
     sizes = _block_sizes(fn, layout)
@@ -292,7 +266,6 @@ def _analyze(fn: Function, layout: MemoryLayout) -> MemDF:
                 oob, inbounds = _classify(pts, nbytes, sizes)
                 mdf.access[id(inst)] = AccessFact(pts, nbytes, oob, inbounds)
                 if oob:
-                    STATS.oob_accesses += 1
                     if label == entry_label:
                         mdf.entry_oob = True
                 if clobbered is not None:
@@ -310,7 +283,6 @@ def _analyze(fn: Function, layout: MemoryLayout) -> MemDF:
                     and nbytes >= prev.nbytes
                 ):
                     dead.add(id(prev.store))
-                    STATS.dead_stores += 1
                 # Any may-aliasing store invalidates forwardable entries.
                 for k in list(avail):
                     if k == key:
@@ -327,7 +299,6 @@ def _analyze(fn: Function, layout: MemoryLayout) -> MemDF:
                 oob, inbounds = _classify(pts, nbytes, sizes)
                 mdf.access[id(inst)] = AccessFact(pts, nbytes, oob, inbounds)
                 if oob:
-                    STATS.oob_accesses += 1
                     if label == entry_label:
                         mdf.entry_oob = True
                 key = _loc_key(inst.pointer, pts)
@@ -339,7 +310,6 @@ def _analyze(fn: Function, layout: MemoryLayout) -> MemDF:
                     mdf.forwards[id(inst)] = ForwardFact(
                         entry.store, entry.store.value
                     )
-                    STATS.forwards += 1
                 # Loads observe every store they may read from.
                 for other in avail.values():
                     if pts.may_overlap(other.pts, nbytes, other.nbytes):

@@ -56,11 +56,11 @@ prescreen hit can never flip a FAIL verdict to a pass.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Dict, Optional
 
 from repro.analysis import termfacts
 from repro.analysis.poison import returns_poison_free
+from repro.harness.counters import bump
 from repro.ir.function import Function
 from repro.ir.instructions import Ret
 from repro.ir.values import ConstantInt
@@ -68,44 +68,19 @@ from repro.smt import terms
 from repro.smt.terms import FALSE, TRUE, BoolTerm, Term
 
 
-@dataclass
-class PrescreenStats:
-    """Module-level counters; the suite snapshots deltas per test."""
-
-    hits: int = 0
-    misses: int = 0
-    by_rule: Dict[str, int] = field(default_factory=dict)
-
-    def hit(self, rule: str) -> None:
-        self.hits += 1
-        self.by_rule[rule] = self.by_rule.get(rule, 0) + 1
-
-    def miss(self) -> None:
-        self.misses += 1
-
-    def reset(self) -> None:
-        self.hits = self.misses = 0
-        self.by_rule.clear()
-
-
-STATS = PrescreenStats()
-
-#: The rules driven by memory-dataflow facts (PR 9); the suite tracks
-#: their hits separately so the CLI summary can show memdf leverage.
+#: The rules driven by memory-dataflow facts; the summary totals their
+#: hits separately to show memdf leverage.
 MEMDF_RULES = ("oob-ub", "load-forward", "alias-disjoint")
 
-#: The rules driven by the relational product-CFG analysis (PR 10).
+#: The rules driven by the relational product-CFG analysis.
 RELATIONAL_RULES = ("relational-equal", "relational-equal-mem")
 
 
-def memdf_rule_hits() -> int:
-    """Total hits of the memdf-driven rules since the last reset."""
-    return sum(STATS.by_rule.get(rule, 0) for rule in MEMDF_RULES)
-
-
-def relational_rule_hits() -> int:
-    """Total hits of the relational rules since the last reset."""
-    return sum(STATS.by_rule.get(rule, 0) for rule in RELATIONAL_RULES)
+def _hit(rule: str) -> bool:
+    """Count a discharge by ``rule``; returns True for the caller to return."""
+    bump("prescreen.discharged")
+    bump(f"prescreen.{rule}")
+    return True
 
 
 def _all_ones_env(term: Term) -> Dict[str, int]:
@@ -197,14 +172,12 @@ class Prescreener:
         """True iff ``formula`` is proven satisfiable (check 1 passes)."""
         try:
             if terms.evaluate(formula, {}):
-                STATS.hit("sat-witness")
-                return True
+                return _hit("sat-witness")
             if terms.evaluate(formula, _all_ones_env(formula)):
-                STATS.hit("sat-witness")
-                return True
+                return _hit("sat-witness")
         except (RecursionError, OverflowError):
             pass
-        STATS.miss()
+        bump("prescreen.passed")
         return False
 
     def screen_query(
@@ -223,35 +196,28 @@ class Prescreener:
         """
         try:
             if phi is FALSE or termfacts.must_false(phi):
-                STATS.hit("phi-false")
-                return True
+                return _hit("phi-false")
             if self._screen_oob_ub(src_enc, tgt_enc):
-                STATS.hit("oob-ub")
-                return True
+                return _hit("oob-ub")
             if psi is TRUE or termfacts.must_true(psi):
-                STATS.hit("psi-true")
-                return True
+                return _hit("psi-true")
             if name == "return-poison" and self.tgt_returns_poison_free():
-                STATS.hit("poison-free")
-                return True
+                return _hit("poison-free")
             if name == "return-value" and self._screen_const_ret(
                 src_enc, tgt_enc
             ):
-                STATS.hit("const-ret")
-                return True
+                return _hit("const-ret")
             if name == "return-value" and self._screen_load_forward(
                 src_enc, tgt_enc
             ):
-                STATS.hit("load-forward")
-                return True
+                return _hit("load-forward")
             if name in ("return-value", "return-poison") and (
                 self._screen_relational_equal(src_enc, tgt_enc)
             ):
-                STATS.hit("relational-equal")
-                return True
+                return _hit("relational-equal")
         except (RecursionError, OverflowError):
             pass
-        STATS.miss()
+        bump("prescreen.passed")
         return False
 
     def _screen_const_ret(self, src_enc, tgt_enc) -> bool:
@@ -343,11 +309,9 @@ class Prescreener:
         hit/miss accounting.
         """
         if self._screen_alias_disjoint(src_enc, tgt_enc):
-            STATS.hit("alias-disjoint")
-            return True
+            return _hit("alias-disjoint")
         if self._screen_relational_mem(src_enc, tgt_enc):
-            STATS.hit("relational-equal-mem")
-            return True
+            return _hit("relational-equal-mem")
         return False
 
     # -- relational rules (PR 10) ----------------------------------------------

@@ -48,6 +48,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from repro.analysis.align import Alignment, align_blocks
+from repro.harness.counters import bump
 from repro.ir.cfg import predecessors, reverse_postorder
 from repro.ir.function import Function
 from repro.ir.instructions import (
@@ -83,28 +84,6 @@ from repro.ir.values import (
     Value,
 )
 
-
-@dataclass
-class RelationalStats:
-    """Process-wide counters, snapshotted per test by the suite runner."""
-
-    analyses: int = 0
-    aligned_blocks: int = 0  # certified pairs across all analyses
-    congruent_pairs: int = 0  # cross-function register pairs with equal VN
-    nondet_pairs: int = 0  # freeze instructions paired one-to-one
-    seed_pairs: int = 0  # forall-var -> tgt-term entries contributed to seeds
-    seeded_queries: int = 0  # solver checks that carried relational seeds
-
-    def reset(self) -> None:
-        self.analyses = 0
-        self.aligned_blocks = 0
-        self.congruent_pairs = 0
-        self.nondet_pairs = 0
-        self.seed_pairs = 0
-        self.seeded_queries = 0
-
-
-STATS = RelationalStats()
 
 # A value number: (interned base class id, additive offset).  The pair
 # asserts value == base + offset mod 2^width of the value's type.
@@ -346,12 +325,8 @@ def analyze_relational(
             break
         alignment = new_alignment
 
-    STATS.analyses += 1
-    STATS.aligned_blocks += len(result.alignment.certified)
-    STATS.nondet_pairs += len(result.nondet_pairs)
-    STATS.congruent_pairs += sum(
-        1 for _ in result.congruent_register_pairs()
-    )
+    bump("relational.analyses")
+    bump("relational.aligned_blocks", len(result.alignment.certified))
     return result
 
 

@@ -18,6 +18,7 @@ import sys
 from dataclasses import dataclass
 from typing import Dict, List, Optional
 
+from repro.harness.counters import bump, collect
 from repro.ir.cfg import reachable_blocks
 from repro.ir.dominators import DominatorTree
 from repro.ir.function import Function
@@ -64,21 +65,6 @@ class LintDiagnostic:
         if self.instruction is not None:
             text += f"\n    --> {self.instruction}"
         return text
-
-
-@dataclass
-class LintStats:
-    """Module-level counters; the suite snapshots deltas per test."""
-
-    functions: int = 0
-    errors: int = 0
-    warnings: int = 0
-
-    def reset(self) -> None:
-        self.functions = self.errors = self.warnings = 0
-
-
-LINT_STATS = LintStats()
 
 
 class _FunctionLinter:
@@ -640,7 +626,7 @@ class _FunctionLinter:
 
 def lint_function(fn: Function, module: Optional[Module] = None) -> List[LintDiagnostic]:
     """All diagnostics for one function (empty for declarations)."""
-    LINT_STATS.functions += 1
+    bump("lint.functions")
     if fn.is_declaration:
         return []
     linter = _FunctionLinter(fn, module)
@@ -653,8 +639,8 @@ def lint_function(fn: Function, module: Optional[Module] = None) -> List[LintDia
         # The provenance rules run the dataflow solver; only meaningful
         # (and safe) on IR that already passed the structural checks.
         linter.check_memory()
-    LINT_STATS.errors += sum(1 for d in linter.diags if d.level == ERROR)
-    LINT_STATS.warnings += sum(1 for d in linter.diags if d.level == WARNING)
+    bump("lint.errors", sum(1 for d in linter.diags if d.level == ERROR))
+    bump("lint.warnings", sum(1 for d in linter.diags if d.level == WARNING))
     return linter.diags
 
 
@@ -676,17 +662,16 @@ def _lint_corpus() -> int:
     from repro.ir.parser import parse_module
     from repro.suite.unittests import build_corpus
 
-    failures = 0
-    for test in build_corpus():
-        diags = lint_module(parse_module(test.ir))
-        for diag in diags:
-            print(f"{test.name}: {diag}")
-        failures += sum(1 for d in diags if d.level == ERROR)
+    with collect() as seen:
+        for test in build_corpus():
+            for diag in lint_module(parse_module(test.ir)):
+                print(f"{test.name}: {diag}")
     print(
-        f"linted {LINT_STATS.functions} functions: "
-        f"{LINT_STATS.errors} errors, {LINT_STATS.warnings} warnings"
+        f"linted {seen.get('lint.functions', 0)} functions: "
+        f"{seen.get('lint.errors', 0)} errors, "
+        f"{seen.get('lint.warnings', 0)} warnings"
     )
-    return 1 if failures else 0
+    return 1 if seen.get("lint.errors") else 0
 
 
 def main(argv: Optional[List[str]] = None) -> int:

@@ -11,8 +11,6 @@ from repro.egraph.simplify import (
     DEFAULT_MAX_ITERATIONS,
     DEFAULT_MAX_NODES,
     EgraphSimplifier,
-    EgraphStats,
-    STATS,
 )
 
 __all__ = [
@@ -24,8 +22,6 @@ __all__ = [
     "Rule",
     "rule_by_name",
     "EgraphSimplifier",
-    "EgraphStats",
-    "STATS",
     "DEFAULT_MAX_ITERATIONS",
     "DEFAULT_MAX_NODES",
 ]

@@ -23,12 +23,12 @@ the same way it halves solver conflict budgets.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Callable, Dict, Optional, Sequence, Tuple
 
-from repro.smt.terms import FALSE, TRUE, Term, on_reset, term_size
 from repro.egraph.core import EGraph, EGraphInconsistent, saturate
 from repro.egraph.rules import RULES
+from repro.harness.counters import bump
+from repro.smt.terms import FALSE, TRUE, Term, on_reset, term_size
 
 #: Default budgets: small on purpose — the rule set converges in a few
 #: iterations on verifier-shaped terms, and an unproductive saturation
@@ -40,46 +40,6 @@ DEFAULT_MAX_ITERATIONS = 8
 #: blow its node budget before doing useful work.
 _SIZE_GATE_FRACTION = 1.0
 
-
-@dataclass
-class EgraphStats:
-    """Counters mirroring ``analysis.prescreen.PrescreenStats``.
-
-    Module-level so the suite runner can snapshot deltas per test.
-    """
-
-    attempts: int = 0  # terms offered to the simplifier
-    proved: int = 0  # queries discharged (psi==TRUE / phi==FALSE)
-    shrunk: int = 0  # terms replaced by a smaller extraction
-    unchanged: int = 0  # saturation found nothing better
-    budget_stops: int = 0  # node/iteration/deadline budget hit
-    inconsistencies: int = 0  # bad-rule fallbacks (should stay 0)
-    nodes_removed: int = 0  # total DAG-node reduction across shrinks
-    by_rule: Dict[str, int] = field(default_factory=dict)
-
-    def reset(self) -> None:
-        self.attempts = 0
-        self.proved = 0
-        self.shrunk = 0
-        self.unchanged = 0
-        self.budget_stops = 0
-        self.inconsistencies = 0
-        self.nodes_removed = 0
-        self.by_rule = {}
-
-    def snapshot(self) -> Tuple[int, int, int, int, int, int, int]:
-        return (
-            self.attempts,
-            self.proved,
-            self.shrunk,
-            self.unchanged,
-            self.budget_stops,
-            self.inconsistencies,
-            self.nodes_removed,
-        )
-
-
-STATS = EgraphStats()
 
 # Memo keyed by (term, max_nodes, max_iterations) — term interning makes
 # the key cheap.  Registered on the term-table reset hook so a universe
@@ -109,7 +69,6 @@ class EgraphSimplifier:
         """The cheapest certified-equal form of ``term`` (or ``term``)."""
         if term.is_const or term.op == "var":
             return term
-        STATS.attempts += 1
         key = (term, self.max_nodes, self.max_iterations)
         hit = _SIMPLIFY_MEMO.get(key)
         if hit is not None:
@@ -117,13 +76,12 @@ class EgraphSimplifier:
             return hit
         input_size = term_size(term)
         if input_size > self.max_nodes * _SIZE_GATE_FRACTION:
-            STATS.budget_stops += 1
-            STATS.unchanged += 1
+            bump("egraph.unchanged")
             return term
         try:
             graph = EGraph()
             cid = graph.add_term(term)
-            outcome = saturate(
+            saturate(
                 graph,
                 RULES,
                 max_iterations=self.max_iterations,
@@ -132,11 +90,8 @@ class EgraphSimplifier:
             )
             extracted = graph.extract(cid)
         except EGraphInconsistent:
-            STATS.inconsistencies += 1
-            STATS.unchanged += 1
+            bump("egraph.unchanged")
             return term
-        if outcome.budget_hit:
-            STATS.budget_stops += 1
         # Extraction rebuilds through the smart constructors, so the
         # result is already canonical; only adopt it when it is not
         # larger (ties keep the new canonical form for cache sharing).
@@ -147,12 +102,7 @@ class EgraphSimplifier:
         return extracted
 
     def _count(self, before: Term, after: Term) -> None:
-        if after is before:
-            STATS.unchanged += 1
-            return
-        delta = term_size(before) - term_size(after)
-        STATS.shrunk += 1
-        STATS.nodes_removed += max(0, delta)
+        bump("egraph.unchanged" if after is before else "egraph.shrunk")
 
     def _screen_psi(
         self,
@@ -174,7 +124,6 @@ class EgraphSimplifier:
             return True, psi
         if psi.is_const or psi.op == "var":
             return False, psi
-        STATS.attempts += 1
         key = (psi, self.max_nodes, self.max_iterations, tuple(union_seeds))
         hit = _SIMPLIFY_MEMO.get(key)
         goals = [
@@ -188,8 +137,7 @@ class EgraphSimplifier:
             self._count(psi, hit)
             return hit is TRUE, hit
         if term_size(psi) > self.max_nodes * _SIZE_GATE_FRACTION:
-            STATS.budget_stops += 1
-            STATS.unchanged += 1
+            bump("egraph.unchanged")
             return False, psi
         try:
             graph = EGraph()
@@ -210,7 +158,7 @@ class EgraphSimplifier:
                 true_root = graph.find(true_cid)
                 return any(graph.find(cid) == true_root for cid in watched)
 
-            outcome = saturate(
+            saturate(
                 graph,
                 RULES,
                 max_iterations=self.max_iterations,
@@ -219,14 +167,12 @@ class EgraphSimplifier:
             )
             true_root = graph.find(true_cid)
             if any(graph.find(cid) == true_root for cid in watched):
-                # The early-exit closure reports as a budget stop, but a
-                # reached goal is a proof, not a truncation.
+                # A reached goal is a proof; only ψ's own class reaching
+                # TRUE is worth memoizing.
                 if graph.find(root) == true_root:
                     _SIMPLIFY_MEMO[key] = TRUE
                     self._count(psi, TRUE)
                 return True, psi
-            if outcome.budget_hit:
-                STATS.budget_stops += 1
             extracted = graph.extract(root)
             if extracted is not psi and term_size(extracted) > term_size(psi):
                 extracted = psi
@@ -234,8 +180,7 @@ class EgraphSimplifier:
             self._count(psi, extracted)
             return extracted is TRUE, extracted
         except EGraphInconsistent:
-            STATS.inconsistencies += 1
-            STATS.unchanged += 1
+            bump("egraph.unchanged")
             return False, psi
 
     # -- query-level entry point --------------------------------------------
@@ -274,10 +219,10 @@ class EgraphSimplifier:
         """
         proved, psi2 = self._screen_psi(psi, seeded_psis, union_seeds)
         if proved:
-            STATS.proved += 1
+            bump("egraph.proved")
             return True, phi, psi2
         phi2 = self.simplify(phi)
         if phi2 is FALSE:
-            STATS.proved += 1
+            bump("egraph.proved")
             return True, phi2, psi2
         return False, phi2, psi2

@@ -68,6 +68,7 @@ from collections import OrderedDict
 from contextlib import contextmanager
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
+from repro.harness.counters import bump
 from repro.smt.terms import Term
 
 logger = logging.getLogger("repro.engine.qcache")
@@ -574,8 +575,10 @@ class QueryCache:
             entry = None
         if entry is None:
             self.misses += 1
+            bump("qcache.misses")
             return None
         self.hits += 1
+        bump("qcache.hits")
         return entry
 
     def store(

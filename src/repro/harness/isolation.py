@@ -20,6 +20,7 @@ from __future__ import annotations
 import traceback
 from typing import Callable, Dict, Optional
 
+from repro.harness import counters
 from repro.harness.deadline import DeadlineExceeded
 from repro.harness.degrade import DegradationLadder, run_with_degradation
 from repro.ir.function import Function
@@ -121,22 +122,27 @@ def run_verification_job(
     """The fault-tolerant replacement for a bare ``verify_refinement``.
 
     Lint-gates the pair, crash-isolates every attempt, and walks the
-    degradation ladder on TIMEOUT/OOM.  This is what the TV plugin and
-    the suite runner call; ``verify_refinement`` itself stays a pure
-    library function.
+    degradation ladder on TIMEOUT/OOM.  The result's ``counters`` cover
+    the whole job: the lint gate and every attempt.  This is what the TV
+    plugin and the suite runner call; ``verify_refinement`` itself stays
+    a pure library function.
     """
     options = options or VerifyOptions()
-
-    if lint:
-        # A crash *inside the linter* must not block verification; only a
-        # clean UNSUPPORTED finding gates.
-        gated = run_contained(lambda: lint_gate(src, tgt), phase="lint")
-        if gated is not None and gated.verdict is Verdict.UNSUPPORTED:
-            return gated
 
     def attempt(opts: VerifyOptions) -> RefinementResult:
         return run_contained(
             lambda: verify_refinement(src, tgt, module_src, module_tgt, opts)
         )
 
-    return run_with_degradation(attempt, options, ladder)
+    with counters.collect() as collected:
+        gated = None
+        if lint:
+            # A crash *inside the linter* must not block verification;
+            # only a clean UNSUPPORTED finding gates.
+            gated = run_contained(lambda: lint_gate(src, tgt), phase="lint")
+        if gated is not None and gated.verdict is Verdict.UNSUPPORTED:
+            result = gated
+        else:
+            result = run_with_degradation(attempt, options, ladder)
+    result.counters = collected
+    return result

@@ -27,10 +27,11 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import Dict, FrozenSet, List, Optional, Tuple
 
-from repro.analysis.memdf import STATS as MEMDF_STATS, analyze_memdf
-from repro.analysis.relational import STATS as REL_STATS, analyze_relational
+from repro.analysis.memdf import analyze_memdf
+from repro.analysis.relational import analyze_relational
 from repro.analysis.prescreen import Prescreener
 from repro.engine import qcache
+from repro.harness import counters
 from repro.harness.deadline import Deadline, DeadlineExceeded
 from repro.harness.faults import maybe_fault
 from repro.ir.function import Function
@@ -110,14 +111,6 @@ class VerifyOptions:
     egraph: bool = True
     egraph_max_nodes: int = 512
     egraph_max_iterations: int = 8
-    # Witness pairing: when exactly one forall-variable is live in psi,
-    # try mapping it onto each same-width free variable as a symbolic
-    # witness candidate (both for the e-graph's seeded instantiations
-    # and the CEGAR solver's seeds).  Sound — any total substitution is
-    # a legitimate candidate, and failed candidates just fall through to
-    # CEGAR.  Off reproduces the pre-egraph prescreen-only pipeline,
-    # which is the baseline BENCH_egraph measures against.
-    witness_pairing: bool = True
     # Memory-aware static analysis (repro.analysis.pointsto/memdf):
     # points-to provenance + store/load dataflow facts feeding the
     # R-alias-disjoint / R-load-forward / R-oob-ub prescreen rules, the
@@ -128,18 +121,12 @@ class VerifyOptions:
     memdf: bool = True
     # Relational analysis (repro.analysis.relational): product-CFG block
     # alignment + relational value numbering across the (src, tgt) pair.
-    # Feeds the R-relational-equal prescreen rule, analysis-backed
-    # witness seeds for the e-graph/CEGAR rungs (generalising the
-    # lone-forall-var heuristic), and alignment-aware counterexample
-    # notes.  Prove-only and seed-only — never changes a verdict;
+    # Feeds the R-relational-equal prescreen rule, cross-function
+    # witness seeds and candidate ranking for the e-graph/CEGAR rungs,
+    # and alignment-aware counterexample notes.  Prove-only and seed-only — never changes a verdict;
     # --no-relational ablates it and the degradation ladder turns it off
     # under MEMOUT.
     relational: bool = True
-    # Fallback for one PR: re-enable the superseded lone-forall-var
-    # pairing heuristic alongside the relational seeds (parity-tested).
-    # With relational=False the heuristic stays active regardless, so
-    # --no-relational reproduces the PR 9 pipeline exactly.
-    legacy_pairing: bool = False
     # Self-certifying mode (--certify): every UNSAT the solver stack
     # claims must carry a proof the independent RUP checker accepts; a
     # rejected proof downgrades the verdict to SOLVER_UNSOUND instead of
@@ -174,10 +161,8 @@ class VerifyOptions:
             "egraph": self.egraph,
             "egraph_max_nodes": self.egraph_max_nodes,
             "egraph_max_iterations": self.egraph_max_iterations,
-            "witness_pairing": self.witness_pairing,
             "memdf": self.memdf,
             "relational": self.relational,
-            "legacy_pairing": self.legacy_pairing,
             "certify": self.certify,
         }
 
@@ -215,14 +200,8 @@ class VerifyOptions:
             egraph_max_iterations=int(
                 data.get("egraph_max_iterations", defaults.egraph_max_iterations)
             ),
-            witness_pairing=bool(
-                data.get("witness_pairing", defaults.witness_pairing)
-            ),
             memdf=bool(data.get("memdf", defaults.memdf)),
             relational=bool(data.get("relational", defaults.relational)),
-            legacy_pairing=bool(
-                data.get("legacy_pairing", defaults.legacy_pairing)
-            ),
             certify=bool(data.get("certify", defaults.certify)),
         )
 
@@ -247,6 +226,10 @@ class RefinementResult:
     # Wall-clock seconds per pipeline phase (prescreen/egraph/encode/
     # solve), for perf attribution; never part of --verdicts-out.
     phase_times: Dict[str, float] = field(default_factory=dict)
+    # What each layer did for this verdict (prescreen discharges, solver
+    # checks, certified proofs, ...), collected by repro.harness.counters;
+    # never part of --verdicts-out.
+    counters: Dict[str, int] = field(default_factory=dict)
 
     @property
     def ok(self) -> bool:
@@ -300,6 +283,7 @@ class RefinementResult:
             "certificates": [cert_json(c) for c in self.certificates],
             "notes": list(self.notes),
             "phase_times": {k: round(v, 6) for k, v in self.phase_times.items()},
+            "counters": dict(self.counters),
         }
 
     def describe(self) -> str:
@@ -360,12 +344,15 @@ def verify_refinement(
         result.elapsed_s = time.monotonic() - start
         return result
 
-    try:
-        return done(
-            _verify_with_deadline(src, tgt, module_src, module_tgt, options, deadline)
-        )
-    except DeadlineExceeded as exc:
-        return done(RefinementResult(Verdict.TIMEOUT, failed_check=exc.phase))
+    with counters.collect() as collected:
+        try:
+            result = _verify_with_deadline(
+                src, tgt, module_src, module_tgt, options, deadline
+            )
+        except DeadlineExceeded as exc:
+            result = RefinementResult(Verdict.TIMEOUT, failed_check=exc.phase)
+    result.counters = collected
+    return done(result)
 
 
 def _verify_with_deadline(
@@ -791,7 +778,7 @@ class _RefinementChecker:
                 if relational_seed not in seeds:
                     seeds.insert(0, relational_seed)
                 self._rel_seed_pairs = len(translated)
-                REL_STATS.seed_pairs += len(translated)
+                counters.bump("relational.seed_pairs", len(translated))
         return [s for s in seeds if s]
 
     def _build_union_seeds(self) -> List[Tuple[Term, Term]]:
@@ -998,37 +985,17 @@ class _RefinementChecker:
         return out
 
     def _query_seeds(self, psi: BoolTerm) -> List[Dict[str, Term]]:
-        """Per-query witness candidates from the active pairing mechanism.
-
-        With the relational analysis on, the analysis-backed generalised
-        pairing replaces the PR 7 lone-forall-var heuristic; the old
-        heuristic stays reachable behind ``VerifyOptions.legacy_pairing``
-        for one PR (parity-asserted in tests) and remains the default
-        whenever the analysis is off, so ``--no-relational`` reproduces
-        the previous pipeline exactly.
-        """
-        seeds: List[Dict[str, Term]] = []
-        if self.relational is not None:
-            seeds.extend(self._relational_pairing_seeds(psi))
-            if self.options.legacy_pairing:
-                seeds.extend(self._pairing_seeds(psi))
-        else:
-            seeds.extend(self._pairing_seeds(psi))
-        return seeds
-
-    def _relational_pairing_seeds(self, psi: BoolTerm) -> List[Dict[str, Term]]:
         """Analysis-backed witness candidates for the live ∀-vars of ψ.
 
-        Generalises ``_pairing_seeds`` in two ways: it handles *any*
-        small number of live ∀-vars (one single-var candidate seed per
-        live var plus one combined seed, not just the lone-var case),
-        and it ranks candidate free variables by the relational origin
-        pairing — a tgt nondet reading whose site the analysis paired
-        with the src reading's site comes first.  Every candidate is a
-        total substitution of universals, hence sound.
+        One single-var candidate seed per live ∀-var (up to four) and
+        same-width free variable of ψ, plus one combined seed; candidates
+        are ranked by the relational origin pairing, so a tgt nondet
+        reading whose site the analysis paired with the src reading's
+        site comes first.  Every candidate is a total substitution of
+        universals, hence sound.  Shared by the e-graph rung and the ∃∀
+        solver so both discharge the same queries.  Without the
+        relational analysis, candidates are ranked by same-origin only.
         """
-        if not self.options.witness_pairing:
-            return []
         names = term_vars(psi)
         relevant = [qv for qv in self.forall_vars if qv.name in names]
         if not relevant or len(relevant) > 4:
@@ -1039,7 +1006,7 @@ class _RefinementChecker:
             for free in self._collect_var_terms(psi)
             if free.payload not in forall_names
         ]
-        omap = self.relational.origin_map()
+        omap = self.relational.origin_map() if self.relational is not None else {}
         out: List[Dict[str, Term]] = []
         combined: Dict[str, Term] = {}
         for qv in relevant:
@@ -1058,33 +1025,6 @@ class _RefinementChecker:
         if len(combined) > 1:
             out.append(combined)
         return out[:24]
-
-    def _pairing_seeds(self, psi: BoolTerm) -> List[Dict[str, Term]]:
-        """Witness candidates pairing a lone ∀-var with ψ's free variables.
-
-        A ∀ undef read usually matches the *other* side's nondet read,
-        but the CEGAR seeds pair reads positionally across the whole
-        function and can miss when only a few survive into ψ.  Mapping
-        the lone ∀-var onto each same-width free variable of ψ directly
-        is always a sound candidate (any total substitution of the
-        ∀-vars is), and on equivalence-shaped queries one of them makes
-        both sides the same interned term.  Shared by the e-graph rung
-        and the ∃∀ solver so both discharge the same queries.
-        """
-        if not self.options.witness_pairing:
-            return []
-        names = term_vars(psi)
-        relevant = [qv for qv in self.forall_vars if qv.name in names]
-        if len(relevant) != 1:
-            return []
-        qv = relevant[0]
-        forall_names = {q.name for q in self.forall_vars}
-        candidates = [
-            free
-            for free in self._collect_var_terms(psi)
-            if free.width == qv.width and free.payload not in forall_names
-        ]
-        return [{qv.name: free} for free in candidates[:8]]
 
     def _cache_items(self, phi: BoolTerm, psi: BoolTerm) -> list:
         """The tagged term sequence whose canonical hash keys this query.
@@ -1258,7 +1198,7 @@ class _RefinementChecker:
         simplify = None
         query_seeds = self._query_seeds(psi)
         if self.relational is not None and (self._rel_seed_pairs or query_seeds):
-            REL_STATS.seeded_queries += 1
+            counters.bump("relational.seeded_queries")
         seeds = list(self.seeds) + query_seeds
         if cache is None:
             return solve_exists_forall(
@@ -1370,7 +1310,6 @@ class _RefinementChecker:
             if not info.writable:
                 continue  # read-only blocks cannot change
             if bid in untouched:
-                MEMDF_STATS.refine_skips += 1
                 continue
             for sb, tb in zip(s_bytes, t_bytes):
                 s_poison = self._prime(sb.poison)

@@ -20,6 +20,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Set, Tuple
 
 from repro.analysis.pointsto import assign_alloca_bids
+from repro.harness.counters import bump
 from repro.harness.deadline import Deadline
 from repro.ir.cfg import remove_unreachable_blocks, reverse_postorder
 from repro.ir.function import Function
@@ -1078,12 +1079,10 @@ class _Encoder:
         pts = self.memdf.pointer_fact(pointer)
         if pts.bids is None:
             return None
-        from repro.analysis.memdf import STATS as _MEMDF_STATS
-
         skipped = sum(1 for b in mem.infos if b not in pts.bids)
         if skipped:
-            _MEMDF_STATS.narrowed_accesses += 1
-            _MEMDF_STATS.block_skips += skipped
+            bump("memdf.narrowed")
+            bump("memdf.block_skips", skipped)
         return pts.bids
 
     def _load(self, inst: Load, alive: BoolTerm, mem: SymMemory) -> BoolTerm:

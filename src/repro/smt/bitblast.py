@@ -31,37 +31,6 @@ class BitBlaster:
         # name -> list of literals (bitvector) or single literal (bool)
         self.var_bits: Dict[str, object] = {}
 
-    # -- instrumentation ------------------------------------------------------
-    @property
-    def num_gates(self) -> int:
-        """Distinct Tseitin gates emitted so far.
-
-        The incremental-CEGAR path re-checks one persistent blast under
-        assumption literals; this counter is how tests and benchmarks see
-        that repeat rounds add no new circuitry.
-        """
-        return len(self._gate_cache)
-
-    @property
-    def num_blasted_terms(self) -> int:
-        return len(self._bool_cache) + len(self._bv_cache)
-
-    def cnf_stats(self) -> Dict[str, int]:
-        """Size of the Tseitin CNF built so far.
-
-        Benchmarks compare these across configurations (e.g. with and
-        without the e-graph simplifier) to attribute CNF shrinkage.
-        """
-        return {
-            "vars": int(getattr(self.solver, "num_vars", 0)),
-            "clauses": int(
-                getattr(self.solver, "num_clauses", 0)
-                or len(getattr(self.solver, "clauses", ()) or ())
-            ),
-            "gates": self.num_gates,
-            "terms": self.num_blasted_terms,
-        }
-
     def certificate_digest(self) -> str:
         """Content hash of the CNF + variable map a certificate is about.
 

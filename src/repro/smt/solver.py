@@ -12,6 +12,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Dict, Iterable, List, Optional
 
+from repro.harness.counters import bump
 from repro.sat.checker import check_events
 from repro.sat.proof import Certificate, ProofLog
 from repro.sat.solver import Budget, SatResult, SatSolver
@@ -23,56 +24,6 @@ class CheckResult(Enum):
     UNSAT = "unsat"
     TIMEOUT = "timeout"
     MEMOUT = "memout"
-
-
-@dataclass
-class SolverTelemetry:
-    """Process-wide counters over every :meth:`SmtSolver.check` call.
-
-    The query cache's contract is that a hit skips the solver *entirely*;
-    these counters are how tests and benchmarks observe that, and how the
-    engine reports per-worker solver load.
-    """
-
-    checks: int = 0
-    sat: int = 0
-    unsat: int = 0
-    indefinite: int = 0  # timeout / memout
-    # Certification traffic (certify mode): UNSAT answers whose proof the
-    # independent checker accepted / rejected, UNSAT answers that went
-    # unchecked (certify off), core literals over all UNSAT answers, and
-    # proof sizes before/after backward trimming.
-    certified: int = 0
-    cert_failed: int = 0
-    unchecked_unsat: int = 0
-    core_lits: int = 0
-    proof_lemmas: int = 0
-    proof_checked: int = 0
-
-    def snapshot(self) -> Dict[str, int]:
-        return {
-            "checks": self.checks,
-            "sat": self.sat,
-            "unsat": self.unsat,
-            "indefinite": self.indefinite,
-            "certified": self.certified,
-            "cert_failed": self.cert_failed,
-            "unchecked_unsat": self.unchecked_unsat,
-            "core_lits": self.core_lits,
-            "proof_lemmas": self.proof_lemmas,
-            "proof_checked": self.proof_checked,
-        }
-
-
-TELEMETRY = SolverTelemetry()
-
-
-def reset_telemetry() -> None:
-    TELEMETRY.checks = TELEMETRY.sat = TELEMETRY.unsat = 0
-    TELEMETRY.indefinite = 0
-    TELEMETRY.certified = TELEMETRY.cert_failed = 0
-    TELEMETRY.unchecked_unsat = TELEMETRY.core_lits = 0
-    TELEMETRY.proof_lemmas = TELEMETRY.proof_checked = 0
 
 
 @dataclass(frozen=True)
@@ -141,16 +92,14 @@ class SmtSolver:
         assumption_terms = list(assumptions)
         assumption_lits = [self.blaster.blast_bool(t) for t in assumption_terms]
         budget = limits.to_budget() if limits is not None else None
-        TELEMETRY.checks += 1
+        bump("smt.checks")
         self._check_count += 1
         result = self.sat.solve(assumptions=assumption_lits, budget=budget)
         if result is SatResult.SAT:
-            TELEMETRY.sat += 1
             return CheckResult.SAT
         if result is SatResult.UNSAT:
-            TELEMETRY.unsat += 1
             core_lits = self.sat.unsat_core()
-            TELEMETRY.core_lits += len(core_lits)
+            bump("smt.core_lits", len(core_lits))
             term_by_lit: Dict[int, Term] = {}
             for lit, term in zip(assumption_lits, assumption_terms):
                 term_by_lit.setdefault(lit, term)
@@ -160,9 +109,8 @@ class SmtSolver:
             if self.certify:
                 self._certify_unsat(core_lits, assumption_lits)
             else:
-                TELEMETRY.unchecked_unsat += 1
+                bump("smt.unchecked_unsat")
             return CheckResult.UNSAT
-        TELEMETRY.indefinite += 1
         if self.sat.stats.unknown_reason == "memory":
             return CheckResult.MEMOUT
         return CheckResult.TIMEOUT
@@ -185,12 +133,9 @@ class SmtSolver:
             core=tuple(core_lits),
         )
         self.certificates.append(cert)
-        TELEMETRY.proof_lemmas += self.proof.lemmas
-        TELEMETRY.proof_checked += outcome.checked_lemmas
-        if outcome.valid:
-            TELEMETRY.certified += 1
-        else:
-            TELEMETRY.cert_failed += 1
+        bump("smt.proof_lemmas", self.proof.lemmas)
+        bump("smt.proof_checked", outcome.checked_lemmas)
+        bump("smt.certified" if outcome.valid else "smt.cert_failed")
 
     def model_env(self) -> Dict[str, object]:
         """Extract {variable name: int | bool} from the last SAT model.

@@ -155,6 +155,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         from repro.engine.pool import default_jobs
         from repro.suite.runner import run_suite
         from repro.suite.unittests import UNIT_TESTS
+        from repro.tv.report import counter_lines
 
         jobs = args.jobs if args.jobs is not None else default_jobs()
         # Opt-in: verdicts only replay across tests/runs when asked for,
@@ -241,18 +242,10 @@ def main(argv: Optional[List[str]] = None) -> int:
         if outcome.resumed:
             print(f"resumed from journal: {outcome.resumed} tests")
         t = outcome.tally
-        if t.qcache_hits or t.qcache_misses:
-            print(
-                f"query cache: {t.qcache_hits} hits / {t.qcache_misses} misses "
-                f"({t.qcache_hit_rate:.0%} hit rate)"
-            )
-        if t.qcache_load_entries or t.qcache_load_bytes or t.qcache_evictions:
-            print(
-                f"cache tier: {t.qcache_load_entries} entries / "
-                f"{t.qcache_load_bytes} bytes loaded across workers, "
-                f"{t.qcache_evictions} LRU evictions"
-            )
+        for line in counter_lines(t.counters):
+            print(line)
         if outcome.worker_cache:
+            print("query cache per worker:")
             for pid in sorted(outcome.worker_cache):
                 c = outcome.worker_cache[pid]
                 print(
@@ -262,49 +255,12 @@ def main(argv: Optional[List[str]] = None) -> int:
                     f"{c.get('load_bytes', 0)} bytes, "
                     f"{c.get('hits', 0)} hits / {c.get('misses', 0)} misses"
                 )
-        if t.prescreen_hits or t.prescreen_misses:
-            print(
-                f"prescreen: {t.prescreen_hits} discharged / "
-                f"{t.prescreen_misses} passed to solver "
-                f"({t.prescreen_hit_rate:.0%} hit rate)"
-            )
-        if t.lint_errors or t.lint_warnings:
-            print(
-                f"lint: {t.lint_errors} errors, {t.lint_warnings} warnings"
-            )
-        if t.egraph_proved or t.egraph_shrunk or t.egraph_misses:
-            print(
-                f"egraph: {t.egraph_proved} proved without solver, "
-                f"{t.egraph_shrunk} shrunk, {t.egraph_misses} unchanged"
-            )
-        if t.memdf_rule_hits or t.memdf_narrowed or t.memdf_block_skips:
-            print(
-                f"memdf: {t.memdf_rule_hits} queries discharged by memory "
-                f"rules, {t.memdf_narrowed} accesses narrowed, "
-                f"{t.memdf_block_skips} block case-splits pruned"
-            )
-        if (
-            t.relational_rule_hits
-            or t.relational_seed_pairs
-            or t.relational_aligned_blocks
-        ):
-            print(
-                f"relational: {t.relational_rule_hits} queries discharged "
-                f"by R-relational-equal, {t.relational_seed_pairs} witness "
-                f"pairs seeded, {t.relational_aligned_blocks} certified "
-                f"block pairs aligned"
-            )
         if t.phase_time_s:
             print(
                 "phase times: "
                 + ", ".join(
                     f"{k}={v:.2f}s" for k, v in sorted(t.phase_time_s.items())
                 )
-            )
-        if t.certified_unsat or t.cert_failures:
-            print(
-                f"certified: {t.certified_unsat} UNSAT proofs accepted, "
-                f"{t.cert_failures} rejected, {t.core_lits} core lits"
             )
         by_worker: dict = {}
         for rec in outcome.records:
@@ -315,7 +271,7 @@ def main(argv: Optional[List[str]] = None) -> int:
             )
             stats["tests"] += 1
             stats["time_s"] += rec.elapsed_s
-            stats["checks"] += rec.solver_checks
+            stats["checks"] += rec.counters.get("smt.checks", 0)
         if by_worker:
             print(f"workers ({jobs} requested, {len(by_worker)} used):")
             for pid in sorted(by_worker):

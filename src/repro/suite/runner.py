@@ -20,21 +20,16 @@ import time
 from dataclasses import asdict, dataclass, field
 from typing import Dict, List, Optional, Union
 
-from repro.analysis import memdf as analysis_memdf
-from repro.analysis import prescreen
-from repro.analysis import relational as analysis_relational
-from repro.analysis import verify as lint_verify
-from repro.egraph import simplify as egraph_simplify
 from repro.engine import qcache
-from repro.harness import faults
+from repro.harness import counters, faults
+from repro.harness.counters import add as add_counters
 from repro.harness.deadline import DeadlineExceeded
 from repro.harness.degrade import DegradationLadder
 from repro.harness.faults import FaultPlan
 from repro.harness.isolation import diagnostic_from, run_verification_job
 from repro.harness.journal import RunJournal
 from repro.ir.parser import parse_module
-from repro.refinement.check import Verdict, VerifyOptions
-from repro.smt import solver as smt_solver
+from repro.refinement.check import RefinementResult, Verdict, VerifyOptions
 from repro.suite.unittests import UnitTest
 from repro.tv.plugin import validate_pipeline
 from repro.tv.report import Tally
@@ -56,48 +51,12 @@ class TestRecord:
     clean_failure: bool = False
     degradations: List[str] = field(default_factory=list)
     diagnostic: Optional[Dict[str, object]] = None
-    # Engine statistics: query-cache hits/misses and solver checks spent
-    # on this test, plus the worker pid for parallel runs (None = in-process).
-    qcache_hits: int = 0
-    qcache_misses: int = 0
-    solver_checks: int = 0
+    # The worker pid for parallel runs (None = in-process).
     worker: Optional[int] = None
-    # Static-analysis statistics: refinement queries discharged/attempted
-    # by the solver-bypass prescreen, and lint diagnostics seen while
-    # gating this test's verification jobs.
-    prescreen_hits: int = 0
-    prescreen_misses: int = 0
-    lint_errors: int = 0
-    lint_warnings: int = 0
-    # Certification statistics (certify mode): UNSAT proofs the checker
-    # accepted / rejected during this test, UNSAT answers left unchecked
-    # (certify off), and core literals over all UNSAT answers.
-    certified_unsat: int = 0
-    cert_failures: int = 0
-    unchecked_unsat: int = 0
-    core_lits: int = 0
-    # E-graph statistics: queries discharged outright by saturation,
-    # terms the extractor failed to improve, and terms it shrank —
-    # plus aggregate per-phase wall-clock (prescreen/egraph/encode/solve).
-    egraph_proved: int = 0
-    egraph_misses: int = 0
-    egraph_shrunk: int = 0
-    # Memory-dataflow statistics (VerifyOptions.memdf): queries
-    # discharged by the R-oob-ub/R-load-forward/R-alias-disjoint rules
-    # (a subset of prescreen_hits), accesses whose encoding dropped at
-    # least one aliasing case-split, and the total (access x block)
-    # pairs pruned from the encodings.
-    memdf_rule_hits: int = 0
-    memdf_narrowed: int = 0
-    memdf_block_skips: int = 0
-    # Relational-analysis statistics (VerifyOptions.relational): queries
-    # discharged by the R-relational-equal rules (a subset of
-    # prescreen_hits), forall-var -> tgt-term witness pairs contributed
-    # to the CEGAR seeds, and certified aligned block pairs.
-    relational_rule_hits: int = 0
-    relational_seed_pairs: int = 0
-    relational_aligned_blocks: int = 0
+    # Per-phase wall-clock summed over this test's verification jobs, and
+    # what each layer did during the test (see repro.harness.counters).
     phase_times: Dict[str, float] = field(default_factory=dict)
+    counters: Dict[str, int] = field(default_factory=dict)
 
     def count(self, verdict: Verdict) -> None:
         self.verdicts[verdict.value] = self.verdicts.get(verdict.value, 0) + 1
@@ -118,32 +77,13 @@ class TestRecord:
             clean_failure=bool(data.get("clean_failure", False)),
             degradations=list(data.get("degradations", [])),
             diagnostic=data.get("diagnostic"),
-            qcache_hits=int(data.get("qcache_hits", 0)),
-            qcache_misses=int(data.get("qcache_misses", 0)),
-            solver_checks=int(data.get("solver_checks", 0)),
             worker=data.get("worker"),
-            prescreen_hits=int(data.get("prescreen_hits", 0)),
-            prescreen_misses=int(data.get("prescreen_misses", 0)),
-            lint_errors=int(data.get("lint_errors", 0)),
-            lint_warnings=int(data.get("lint_warnings", 0)),
-            certified_unsat=int(data.get("certified_unsat", 0)),
-            cert_failures=int(data.get("cert_failures", 0)),
-            unchecked_unsat=int(data.get("unchecked_unsat", 0)),
-            core_lits=int(data.get("core_lits", 0)),
-            egraph_proved=int(data.get("egraph_proved", 0)),
-            egraph_misses=int(data.get("egraph_misses", 0)),
-            egraph_shrunk=int(data.get("egraph_shrunk", 0)),
-            memdf_rule_hits=int(data.get("memdf_rule_hits", 0)),
-            memdf_narrowed=int(data.get("memdf_narrowed", 0)),
-            memdf_block_skips=int(data.get("memdf_block_skips", 0)),
-            relational_rule_hits=int(data.get("relational_rule_hits", 0)),
-            relational_seed_pairs=int(data.get("relational_seed_pairs", 0)),
-            relational_aligned_blocks=int(
-                data.get("relational_aligned_blocks", 0)
-            ),
             phase_times={
                 str(k): float(v)
                 for k, v in dict(data.get("phase_times", {})).items()
+            },
+            counters={
+                str(k): int(v) for k, v in dict(data.get("counters", {})).items()
             },
         )
 
@@ -303,70 +243,26 @@ def _run_one_test(
     (except KeyboardInterrupt/SystemExit, which must abort the run so the
     journal-based resume can take over)."""
     record = TestRecord(test=test.name, category=test.category)
-    cache = qcache.active()
-    hits0 = cache.hits if cache is not None else 0
-    misses0 = cache.misses if cache is not None else 0
-    checks0 = smt_solver.TELEMETRY.checks
-    certified0 = smt_solver.TELEMETRY.certified
-    cert_failed0 = smt_solver.TELEMETRY.cert_failed
-    unchecked0 = smt_solver.TELEMETRY.unchecked_unsat
-    core_lits0 = smt_solver.TELEMETRY.core_lits
-    ps_hits0, ps_misses0 = prescreen.STATS.hits, prescreen.STATS.misses
-    lint_errors0 = lint_verify.LINT_STATS.errors
-    lint_warnings0 = lint_verify.LINT_STATS.warnings
-    eg0 = egraph_simplify.STATS
-    eg_proved0, eg_shrunk0 = eg0.proved, eg0.shrunk
-    eg_misses0 = eg0.unchanged
-    memdf_hits0 = prescreen.memdf_rule_hits()
-    memdf_narrowed0 = analysis_memdf.STATS.narrowed_accesses
-    memdf_skips0 = analysis_memdf.STATS.block_skips
-    rel_hits0 = prescreen.relational_rule_hits()
-    rel_seeds0 = analysis_relational.STATS.seed_pairs
-    rel_aligned0 = analysis_relational.STATS.aligned_blocks
     start = time.monotonic()
-    try:
-        with faults.current_test(test.name):
-            _evaluate_test(test, options, inject_bugs, batch, ladder, record)
-    except (KeyboardInterrupt, SystemExit):
-        raise
-    except MemoryError as exc:
-        record.count(Verdict.OOM)
-        record.diagnostic = diagnostic_from(exc)
-    except DeadlineExceeded as exc:
-        record.count(Verdict.TIMEOUT)
-        record.diagnostic = diagnostic_from(exc)
-    except Exception as exc:  # noqa: BLE001 — crash isolation per test
-        record.count(Verdict.CRASH)
-        record.diagnostic = diagnostic_from(exc)
+    # The test's own scope: its jobs' counts add up here even when the
+    # test crashes between two jobs.
+    with counters.collect() as collected:
+        try:
+            with faults.current_test(test.name):
+                _evaluate_test(test, options, inject_bugs, batch, ladder, record)
+        except (KeyboardInterrupt, SystemExit):
+            raise
+        except MemoryError as exc:
+            record.count(Verdict.OOM)
+            record.diagnostic = diagnostic_from(exc)
+        except DeadlineExceeded as exc:
+            record.count(Verdict.TIMEOUT)
+            record.diagnostic = diagnostic_from(exc)
+        except Exception as exc:  # noqa: BLE001 — crash isolation per test
+            record.count(Verdict.CRASH)
+            record.diagnostic = diagnostic_from(exc)
     record.elapsed_s = time.monotonic() - start
-    if cache is not None:
-        record.qcache_hits = cache.hits - hits0
-        record.qcache_misses = cache.misses - misses0
-    record.solver_checks = smt_solver.TELEMETRY.checks - checks0
-    record.certified_unsat = smt_solver.TELEMETRY.certified - certified0
-    record.cert_failures = smt_solver.TELEMETRY.cert_failed - cert_failed0
-    record.unchecked_unsat = smt_solver.TELEMETRY.unchecked_unsat - unchecked0
-    record.core_lits = smt_solver.TELEMETRY.core_lits - core_lits0
-    record.prescreen_hits = prescreen.STATS.hits - ps_hits0
-    record.prescreen_misses = prescreen.STATS.misses - ps_misses0
-    record.lint_errors = lint_verify.LINT_STATS.errors - lint_errors0
-    record.lint_warnings = lint_verify.LINT_STATS.warnings - lint_warnings0
-    eg = egraph_simplify.STATS
-    record.egraph_proved = eg.proved - eg_proved0
-    record.egraph_misses = eg.unchanged - eg_misses0
-    record.egraph_shrunk = eg.shrunk - eg_shrunk0
-    record.memdf_rule_hits = prescreen.memdf_rule_hits() - memdf_hits0
-    record.memdf_narrowed = (
-        analysis_memdf.STATS.narrowed_accesses - memdf_narrowed0
-    )
-    record.memdf_block_skips = analysis_memdf.STATS.block_skips - memdf_skips0
-    record.relational_rule_hits = prescreen.relational_rule_hits() - rel_hits0
-    record.relational_seed_pairs = (
-        analysis_relational.STATS.seed_pairs - rel_seeds0
-    )
-    record.relational_aligned_blocks = (
-        analysis_relational.STATS.aligned_blocks - rel_aligned0
-    )
+    record.counters = collected
     return record
 
 
@@ -389,9 +285,7 @@ def _evaluate_test(
         result = run_verification_job(
             sm.definitions()[0], tm.definitions()[0], sm, tm, options, ladder=ladder
         )
-        record.count(result.verdict)
-        _add_phase_times(record, result.phase_times)
-        record.degradations.extend(result.degradations)
+        _absorb(record, result)
         if result.diagnostic is not None:
             record.diagnostic = result.diagnostic
         if result.verdict is Verdict.INCORRECT:
@@ -404,9 +298,7 @@ def _evaluate_test(
         module, list(test.pipeline), options, pass_options, batch=batch, ladder=ladder
     )
     for rec in report.records:
-        record.count(rec.result.verdict)
-        _add_phase_times(record, rec.result.phase_times)
-        record.degradations.extend(rec.result.degradations)
+        _absorb(record, rec.result)
         if rec.result.verdict is Verdict.CRASH and record.diagnostic is None:
             record.diagnostic = rec.result.diagnostic
     record.skipped_unchanged = report.tally.skipped_unchanged
@@ -422,8 +314,12 @@ def _evaluate_test(
         record.missed = True
 
 
-def _add_phase_times(record: TestRecord, phase_times: Dict[str, float]) -> None:
-    for phase, seconds in (phase_times or {}).items():
+def _absorb(record: TestRecord, result: RefinementResult) -> None:
+    """Fold one verification job's outcome into its test's record (its
+    counters already reached the test's scope)."""
+    record.count(result.verdict)
+    record.degradations.extend(result.degradations)
+    for phase, seconds in result.phase_times.items():
         record.phase_times[phase] = record.phase_times.get(phase, 0.0) + seconds
 
 
@@ -442,10 +338,14 @@ def outcome_from_records(records: List[TestRecord]) -> SuiteOutcome:
 
 def _merge_worker_cache(outcome: SuiteOutcome) -> None:
     """Fold per-worker cache counters into the tally's load totals."""
-    for counters in outcome.worker_cache.values():
-        outcome.tally.qcache_load_entries += int(counters.get("load_entries", 0))
-        outcome.tally.qcache_load_bytes += int(counters.get("load_bytes", 0))
-        outcome.tally.qcache_evictions += int(counters.get("evictions", 0))
+    for cache in outcome.worker_cache.values():
+        add_counters(
+            outcome.tally.counters,
+            {
+                f"qcache.{name}": int(cache.get(name, 0))
+                for name in ("load_entries", "load_bytes", "evictions")
+            },
+        )
 
 
 def _merge_record(outcome: SuiteOutcome, record: TestRecord) -> None:
@@ -456,24 +356,7 @@ def _merge_record(outcome: SuiteOutcome, record: TestRecord) -> None:
             outcome.tally.add_verdict(verdict)
     outcome.tally.total_time_s += record.elapsed_s
     outcome.tally.skipped_unchanged += record.skipped_unchanged
-    outcome.tally.qcache_hits += record.qcache_hits
-    outcome.tally.qcache_misses += record.qcache_misses
-    outcome.tally.prescreen_hits += record.prescreen_hits
-    outcome.tally.prescreen_misses += record.prescreen_misses
-    outcome.tally.lint_errors += record.lint_errors
-    outcome.tally.lint_warnings += record.lint_warnings
-    outcome.tally.certified_unsat += record.certified_unsat
-    outcome.tally.cert_failures += record.cert_failures
-    outcome.tally.core_lits += record.core_lits
-    outcome.tally.egraph_proved += record.egraph_proved
-    outcome.tally.egraph_shrunk += record.egraph_shrunk
-    outcome.tally.egraph_misses += record.egraph_misses
-    outcome.tally.memdf_rule_hits += record.memdf_rule_hits
-    outcome.tally.memdf_narrowed += record.memdf_narrowed
-    outcome.tally.memdf_block_skips += record.memdf_block_skips
-    outcome.tally.relational_rule_hits += record.relational_rule_hits
-    outcome.tally.relational_seed_pairs += record.relational_seed_pairs
-    outcome.tally.relational_aligned_blocks += record.relational_aligned_blocks
+    add_counters(outcome.tally.counters, record.counters)
     for phase, seconds in record.phase_times.items():
         outcome.tally.phase_time_s[phase] = (
             outcome.tally.phase_time_s.get(phase, 0.0) + seconds

@@ -5,6 +5,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List
 
+from repro.analysis.prescreen import MEMDF_RULES, RELATIONAL_RULES
+from repro.harness.counters import add as add_counters
 from repro.refinement.check import RefinementResult, Verdict
 
 
@@ -31,59 +33,16 @@ class Tally:
     solver_unsound: int = 0  # UNSAT claims the proof checker rejected
     skipped_unchanged: int = 0
     total_time_s: float = 0.0
-    # Query-cache traffic (engine layer); hits skipped the solver entirely.
-    qcache_hits: int = 0
-    qcache_misses: int = 0
-    # Cache-tier load cost (sharded two-tier cache): JSONL entries/bytes
-    # parsed by workers at cache open — what shard ownership shrinks —
-    # and in-memory LRU evictions under the bounds.  Deliberately not
-    # part of row(): load cost is an engine property, not a verdict.
-    qcache_load_entries: int = 0
-    qcache_load_bytes: int = 0
-    qcache_evictions: int = 0
-    # Static prescreen traffic (analysis layer): queries discharged by
-    # dataflow facts before ever reaching the cache or the solver, plus
-    # lint diagnostics from the pre-verification gate.
-    prescreen_hits: int = 0
-    prescreen_misses: int = 0
-    lint_errors: int = 0
-    lint_warnings: int = 0
-    # Certification traffic (certify mode): UNSAT answers whose proofs the
-    # independent checker accepted vs rejected, and core literals seen.
-    certified_unsat: int = 0
-    cert_failures: int = 0
-    core_lits: int = 0
-    # E-graph traffic (equality-saturation rung): queries the simplifier
-    # discharged with zero solver calls, terms it shrank, terms it left
-    # unchanged — plus aggregate per-phase wall-clock across all jobs.
-    egraph_proved: int = 0
-    egraph_shrunk: int = 0
-    egraph_misses: int = 0
-    # Memory-dataflow traffic (memdf layer): queries discharged by the
-    # alias/forwarding/OOB prescreen rules (subset of prescreen_hits),
-    # accesses whose encoding dropped at least one aliasing case-split,
-    # and total (access x block) pairs pruned.
-    memdf_rule_hits: int = 0
-    memdf_narrowed: int = 0
-    memdf_block_skips: int = 0
-    # Relational-analysis traffic: queries discharged by the
-    # R-relational-equal rules (subset of prescreen_hits), witness pairs
-    # contributed to the CEGAR seeds, and certified aligned block pairs.
-    relational_rule_hits: int = 0
-    relational_seed_pairs: int = 0
-    relational_aligned_blocks: int = 0
+    # What every layer did, summed over the results (see
+    # repro.harness.counters), plus the query-cache tier's load cost.
+    counters: Dict[str, int] = field(default_factory=dict)
     phase_time_s: Dict[str, float] = field(default_factory=dict)
 
     def add(self, result: RefinementResult) -> None:
         self.add_verdict(result.verdict, result.elapsed_s)
-        for phase, seconds in getattr(result, "phase_times", {}).items():
+        for phase, seconds in result.phase_times.items():
             self.phase_time_s[phase] = self.phase_time_s.get(phase, 0.0) + seconds
-        for cert in getattr(result, "certificates", ()):
-            if cert.valid:
-                self.certified_unsat += 1
-            else:
-                self.cert_failures += 1
-            self.core_lits += len(cert.core)
+        add_counters(self.counters, result.counters)
 
     def add_verdict(self, verdict: Verdict, elapsed_s: float = 0.0) -> None:
         """Count one outcome; used directly when replaying journal entries."""
@@ -106,14 +65,12 @@ class Tally:
             self.unsupported += 1
 
     @property
-    def qcache_hit_rate(self) -> float:
-        total = self.qcache_hits + self.qcache_misses
-        return self.qcache_hits / total if total else 0.0
+    def qcache_hits(self) -> int:
+        return self.counters.get("qcache.hits", 0)
 
     @property
-    def prescreen_hit_rate(self) -> float:
-        total = self.prescreen_hits + self.prescreen_misses
-        return self.prescreen_hits / total if total else 0.0
+    def qcache_misses(self) -> int:
+        return self.counters.get("qcache.misses", 0)
 
     @property
     def analyzed(self) -> int:
@@ -168,56 +125,73 @@ class ValidationReport:
         )
         if t.solver_unsound:
             text += f" [SOLVER UNSOUND: {t.solver_unsound}]"
-        if t.certified_unsat or t.cert_failures:
-            text += (
-                f" [certified: {t.certified_unsat} UNSAT proofs accepted, "
-                f"{t.cert_failures} rejected, {t.core_lits} core lits]"
-            )
-        if t.qcache_hits or t.qcache_misses:
-            text += (
-                f" [query cache: {t.qcache_hits} hits / "
-                f"{t.qcache_misses} misses, {t.qcache_hit_rate:.0%}]"
-            )
-        if t.qcache_load_entries or t.qcache_load_bytes or t.qcache_evictions:
-            text += (
-                f" [cache tier: {t.qcache_load_entries} entries / "
-                f"{t.qcache_load_bytes} bytes loaded, "
-                f"{t.qcache_evictions} evicted]"
-            )
-        if t.prescreen_hits or t.prescreen_misses:
-            text += (
-                f" [prescreen: {t.prescreen_hits} discharged / "
-                f"{t.prescreen_misses} passed on, {t.prescreen_hit_rate:.0%}]"
-            )
-        if t.egraph_proved or t.egraph_shrunk or t.egraph_misses:
-            text += (
-                f" [egraph: {t.egraph_proved} proved, "
-                f"{t.egraph_shrunk} shrunk, {t.egraph_misses} unchanged]"
-            )
-        if t.memdf_rule_hits or t.memdf_narrowed or t.memdf_block_skips:
-            text += (
-                f" [memdf: {t.memdf_rule_hits} rule hits, "
-                f"{t.memdf_narrowed} accesses narrowed, "
-                f"{t.memdf_block_skips} block case-splits pruned]"
-            )
-        if (
-            t.relational_rule_hits
-            or t.relational_seed_pairs
-            or t.relational_aligned_blocks
-        ):
-            text += (
-                f" [relational: {t.relational_rule_hits} rule hits, "
-                f"{t.relational_seed_pairs} seed pairs, "
-                f"{t.relational_aligned_blocks} aligned blocks]"
-            )
+        text += "".join(f" [{line}]" for line in counter_lines(t.counters))
         if t.phase_time_s:
             phases = ", ".join(
                 f"{k}={v:.2f}s"
                 for k, v in sorted(t.phase_time_s.items())
             )
             text += f" [phases: {phases}]"
-        if t.lint_errors or t.lint_warnings:
-            text += (
-                f" [lint: {t.lint_errors} errors, {t.lint_warnings} warnings]"
-            )
         return text
+
+
+def _rate(hits: int, misses: int) -> str:
+    return f"{hits / (hits + misses):.0%}" if hits + misses else "0%"
+
+
+def counter_lines(counters: Dict[str, int]) -> List[str]:
+    """One summary line per layer that did anything, for the CLI and
+    :meth:`ValidationReport.summary` alike."""
+    c = counters.get
+    lines = []
+    hits, misses = c("qcache.hits", 0), c("qcache.misses", 0)
+    if hits or misses:
+        lines.append(
+            f"query cache: {hits} hits / {misses} misses "
+            f"({_rate(hits, misses)} hit rate)"
+        )
+    loaded = (c("qcache.load_entries", 0), c("qcache.load_bytes", 0))
+    if any(loaded) or c("qcache.evictions"):
+        lines.append(
+            f"cache tier: {loaded[0]} entries / {loaded[1]} bytes loaded "
+            f"across workers, {c('qcache.evictions', 0)} LRU evictions"
+        )
+    hits, misses = c("prescreen.discharged", 0), c("prescreen.passed", 0)
+    if hits or misses:
+        lines.append(
+            f"prescreen: {hits} discharged / {misses} passed to solver "
+            f"({_rate(hits, misses)} hit rate)"
+        )
+    if c("lint.errors") or c("lint.warnings"):
+        lines.append(
+            f"lint: {c('lint.errors', 0)} errors, "
+            f"{c('lint.warnings', 0)} warnings"
+        )
+    egraph = [c(f"egraph.{k}", 0) for k in ("proved", "shrunk", "unchanged")]
+    if any(egraph):
+        lines.append(
+            f"egraph: {egraph[0]} proved without solver, {egraph[1]} shrunk, "
+            f"{egraph[2]} unchanged"
+        )
+    memdf = sum(c(f"prescreen.{rule}", 0) for rule in MEMDF_RULES)
+    narrowed, skips = c("memdf.narrowed", 0), c("memdf.block_skips", 0)
+    if memdf or narrowed or skips:
+        lines.append(
+            f"memdf: {memdf} queries discharged by memory rules, "
+            f"{narrowed} accesses narrowed, {skips} block case-splits pruned"
+        )
+    relational = sum(c(f"prescreen.{rule}", 0) for rule in RELATIONAL_RULES)
+    seeds, aligned = c("relational.seed_pairs", 0), c("relational.aligned_blocks", 0)
+    if relational or seeds or aligned:
+        lines.append(
+            f"relational: {relational} queries discharged by "
+            f"R-relational-equal, {seeds} witness pairs seeded, "
+            f"{aligned} certified block pairs aligned"
+        )
+    if c("smt.certified") or c("smt.cert_failed"):
+        lines.append(
+            f"certified: {c('smt.certified', 0)} UNSAT proofs accepted, "
+            f"{c('smt.cert_failed', 0)} rejected, "
+            f"{c('smt.core_lits', 0)} core lits"
+        )
+    return lines

@@ -292,8 +292,6 @@ def _verify(ir_src, ir_tgt, **kwargs):
 
 
 def test_prescreen_rules_fire_and_agree_with_solver():
-    from repro.analysis.prescreen import STATS
-
     fwd_ir = """
     define i8 @f(ptr %p, i8 %v) {
     entry:
@@ -309,9 +307,9 @@ def test_prescreen_rules_fire_and_agree_with_solver():
       ret i8 %v
     }
     """
-    STATS.by_rule.clear()
-    assert _verify(fwd_ir, tgt_ir).verdict is Verdict.CORRECT
-    assert STATS.by_rule.get("load-forward", 0) >= 1
+    result = _verify(fwd_ir, tgt_ir)
+    assert result.verdict is Verdict.CORRECT
+    assert result.counters.get("prescreen.load-forward", 0) >= 1
     assert _verify(fwd_ir, tgt_ir, memdf=False).verdict is Verdict.CORRECT
 
     disjoint_ir = """
@@ -325,9 +323,9 @@ def test_prescreen_rules_fire_and_agree_with_solver():
       ret i8 %r
     }
     """
-    STATS.by_rule.clear()
-    assert _verify(disjoint_ir, disjoint_ir).verdict is Verdict.CORRECT
-    assert STATS.by_rule.get("alias-disjoint", 0) >= 1
+    result = _verify(disjoint_ir, disjoint_ir)
+    assert result.verdict is Verdict.CORRECT
+    assert result.counters.get("prescreen.alias-disjoint", 0) >= 1
     assert _verify(disjoint_ir, disjoint_ir, memdf=False).verdict is Verdict.CORRECT
 
     oob_ir = """
@@ -337,9 +335,9 @@ def test_prescreen_rules_fire_and_agree_with_solver():
       ret i64 %v
     }
     """
-    STATS.by_rule.clear()
-    assert _verify(oob_ir, oob_ir).verdict is Verdict.CORRECT
-    assert STATS.by_rule.get("oob-ub", 0) >= 1
+    result = _verify(oob_ir, oob_ir)
+    assert result.verdict is Verdict.CORRECT
+    assert result.counters.get("prescreen.oob-ub", 0) >= 1
     assert _verify(oob_ir, oob_ir, memdf=False).verdict is Verdict.CORRECT
 
 

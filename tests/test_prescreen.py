@@ -3,7 +3,7 @@ checks (discharging solver queries), never refute them — so verdicts
 must be identical with and without it, while a healthy fraction of
 queries is discharged without the solver."""
 
-from repro.analysis import prescreen
+from repro.harness.counters import collect
 from repro.harness.isolation import run_verification_job
 from repro.ir.parser import parse_module
 from repro.refinement.check import Verdict, VerifyOptions
@@ -29,9 +29,9 @@ def test_knownbugs_verdicts_identical_with_and_without_prescreen():
 
 def test_corpus_tallies_identical_and_hit_rate_at_least_10_percent():
     tests = build_corpus(generated=10)
-    prescreen.STATS.reset()
-    with_ps = run_suite(tests, _options(True))
-    hits, misses = prescreen.STATS.hits, prescreen.STATS.misses
+    with collect() as seen:
+        with_ps = run_suite(tests, _options(True))
+    hits, misses = seen["prescreen.discharged"], seen["prescreen.passed"]
     without = run_suite(tests, _options(False))
 
     for a, b in zip(with_ps.records, without.records):
@@ -44,10 +44,11 @@ def test_corpus_tallies_identical_and_hit_rate_at_least_10_percent():
     # Acceptance bar: the prescreen discharges >= 10% of all queries.
     assert hits + misses > 0
     assert hits / (hits + misses) >= 0.10, (hits, misses)
-    # The stat plumbing attributes the same counts to the tally.
-    assert with_ps.tally.prescreen_hits == hits
-    assert with_ps.tally.prescreen_misses == misses
-    assert without.tally.prescreen_hits == 0
+    # The counters reach the tally through the records with the same
+    # counts a scope around the whole run collects.
+    assert with_ps.tally.counters["prescreen.discharged"] == hits
+    assert with_ps.tally.counters["prescreen.passed"] == misses
+    assert "prescreen.discharged" not in without.tally.counters
 
 
 def test_prescreen_never_flips_an_incorrect_pair():

@@ -514,17 +514,18 @@ def test_certificate_digest_is_pinned():
 
 
 def test_smt_solver_without_certify_counts_unchecked():
-    from repro.smt import solver as smt_solver
+    from repro.harness.counters import collect
     from repro.smt.solver import CheckResult, SmtSolver
     from repro.smt.terms import bool_and, bool_not, bool_var
 
-    before = smt_solver.TELEMETRY.unchecked_unsat
     solver = SmtSolver()
     x = bool_var("y")
     solver.assert_term(bool_and(x, bool_not(x)))
-    assert solver.check() is CheckResult.UNSAT
+    with collect() as seen:
+        assert solver.check() is CheckResult.UNSAT
     assert solver.certificates == []
-    assert smt_solver.TELEMETRY.unchecked_unsat == before + 1
+    assert seen["smt.unchecked_unsat"] == 1
+    assert "smt.certified" not in seen
 
 
 def test_exists_forall_certify_bundles_certificates():
@@ -558,9 +559,9 @@ def test_refinement_certify_keeps_verdicts_and_attaches_certificates():
         plain = _run_one_test(test, VerifyOptions(), False, 1, None)
         cert = _run_one_test(test, VerifyOptions(certify=True), False, 1, None)
         assert plain.verdicts == cert.verdicts
-        assert cert.certified_unsat > 0
-        assert cert.cert_failures == 0
-        assert plain.certified_unsat == 0
+        assert cert.counters["smt.certified"] > 0
+        assert "smt.cert_failed" not in cert.counters
+        assert "smt.certified" not in plain.counters
 
 
 def test_unsound_fault_caught_only_with_certify():
@@ -581,7 +582,7 @@ def test_unsound_fault_caught_only_with_certify():
             test, VerifyOptions(certify=True, egraph=False), False, 1, None
         )
     assert caught.verdicts.get(Verdict.SOLVER_UNSOUND.value) == 1
-    assert caught.cert_failures >= 1
+    assert caught.counters["smt.cert_failed"] >= 1
 
     with faults.activate(plan):
         silent = _run_one_test(test, VerifyOptions(egraph=False), False, 1, None)

@@ -8,8 +8,7 @@ Three layers of coverage:
 * a differential fuzz loop checking every claimed congruence of random
   straight-line pairs against paired concrete ``ir.interp`` runs;
 * end-to-end parity: corpus verdicts are byte-identical with and without
-  ``--no-relational`` (± ``--certify``), the legacy pairing heuristic
-  remains available behind ``legacy_pairing``, and every knownbugs
+  ``--no-relational`` (± ``--certify``), and every knownbugs
   miscompilation stays DETECTED with the analysis on.
 """
 
@@ -18,12 +17,8 @@ import random
 import pytest
 
 from repro.analysis.align import align_blocks
-from repro.analysis.prescreen import (
-    RELATIONAL_RULES,
-    STATS as PRESCREEN_STATS,
-    relational_rule_hits,
-)
-from repro.analysis.relational import STATS as REL_STATS, analyze_relational
+from repro.analysis.prescreen import RELATIONAL_RULES
+from repro.analysis.relational import analyze_relational
 from repro.ir.interp import POISON, UndefinedBehavior, run_function
 from repro.ir.parser import parse_module
 from repro.ir.values import Register
@@ -244,7 +239,6 @@ def test_relational_equal_discharges_commuted_pair():
     src = "define i8 @f(i8 %a, i8 %b) {\nentry:\n  %x = mul i8 %a, %b\n  ret i8 %x\n}"
     tgt = "define i8 @f(i8 %a, i8 %b) {\nentry:\n  %y = mul i8 %b, %a\n  ret i8 %y\n}"
     sm, tm = parse_module(src), parse_module(tgt)
-    hits0 = relational_rule_hits()
     result = verify_refinement(
         sm.definitions()[0],
         tm.definitions()[0],
@@ -253,7 +247,8 @@ def test_relational_equal_discharges_commuted_pair():
         VerifyOptions(timeout_s=30.0),
     )
     assert result.verdict is Verdict.CORRECT
-    assert relational_rule_hits() > hits0
+    hits = [result.counters.get(f"prescreen.{r}", 0) for r in RELATIONAL_RULES]
+    assert sum(hits) > 0
 
 
 def test_relational_rules_registered():
@@ -261,7 +256,6 @@ def test_relational_rules_registered():
 
 
 def test_seed_counters_thread_through_stats():
-    REL_STATS.reset()
     src = (
         "define i8 @f(i8 %a) {\nentry:\n  %x = freeze i8 %a\n"
         "  %r = mul i8 %x, 3\n  ret i8 %r\n}"
@@ -276,8 +270,8 @@ def test_seed_counters_thread_through_stats():
         VerifyOptions(timeout_s=30.0),
     )
     assert result.verdict is Verdict.CORRECT
-    assert REL_STATS.analyses > 0
-    assert REL_STATS.aligned_blocks > 0
+    assert result.counters["relational.analyses"] > 0
+    assert result.counters["relational.aligned_blocks"] > 0
 
 
 # ---------------------------------------------------------------------------
@@ -453,14 +447,6 @@ def test_corpus_verdict_parity_certified(corpus_slice):
         max_ef_iterations=256,
     )
     assert on == off
-
-
-def test_legacy_pairing_flag_parity(corpus_slice):
-    default = _corpus_verdicts(corpus_slice[:8], max_ef_iterations=256)
-    legacy = _corpus_verdicts(
-        corpus_slice[:8], legacy_pairing=True, max_ef_iterations=256
-    )
-    assert default == legacy
 
 
 def test_knownbugs_detected_and_parity_with_relational():

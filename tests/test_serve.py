@@ -161,6 +161,9 @@ def test_serve_corpus_matches_local_run(serve):
     assert remote.tally.correct == local.tally.correct
     assert remote.tally.incorrect == local.tally.incorrect
     assert remote.detected == local.detected
+    # Per-layer counters ride on each record over the wire.
+    assert remote.tally.counters["prescreen.discharged"] > 0
+    assert remote.tally.counters == local.tally.counters
 
 
 def test_verify_op_round_trip(serve):

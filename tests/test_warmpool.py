@@ -296,8 +296,8 @@ def test_warm_pool_certify_parity():
     assert [stable(r) for r in warm.records] == [
         stable(r) for r in baseline.records
     ]
-    assert warm.tally.certified_unsat == baseline.tally.certified_unsat
-    assert warm.tally.cert_failures == baseline.tally.cert_failures
+    assert warm.tally.counters["smt.certified"] > 0
+    assert warm.tally.counters == baseline.tally.counters
 
 
 def test_warm_pool_intern_trim_parity():
@@ -411,7 +411,7 @@ def test_jobs_run_with_sharded_cache_matches_sequential(tmp_path):
         for k in range(4)
         if os.path.exists(shard_path(path, k, 4))
     )
-    assert again.tally.qcache_load_bytes > 0
+    assert again.tally.counters["qcache.load_bytes"] > 0
     for counters in again.worker_cache.values():
         if counters["owned_shards"] < counters["shards"]:
             assert counters["load_bytes"] < total_bytes
